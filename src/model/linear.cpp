@@ -1,5 +1,6 @@
 #include "model/linear.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -30,12 +31,13 @@ MatrixD Linear::forward(const MatrixD& x) const {
 }
 
 CheckedOp Linear::checked_forward(const MatrixD& x,
-                                  const KernelContext& context) const {
+                                  const KernelContext& context,
+                                  const InputChecksums* cached) const {
   FLASHABFT_ENSURE_MSG(x.cols() == weight_.rows(),
                        "Linear: input width " << x.cols() << " != "
                                               << weight_.rows());
   FusedMatmul fused = backend_linear_fused(x, weight_, bias_, context.backend,
-                                           context.dtype);
+                                           context.dtype, cached);
   CheckedOp op;
   op.check = {fused.predicted, fused.actual};
   op.output = std::move(fused.c);
@@ -49,32 +51,53 @@ void Linear::quantize(DType dtype) {
 
 namespace {
 
-/// Raw-pointer y = x W (+ bias in a second pass), in `matmul`'s exact
-/// accumulation order (i, k-ascending, j; bias added after the full sum) —
-/// bit-identical rows to Linear::forward / scalar_fused, without the
-/// per-element bounds checks the hot batched path cannot afford.
-MatrixD raw_linear_scalar(const MatrixD& x, const MatrixD& w,
-                          std::span<const double> bias) {
-  MatrixD y(x.rows(), w.cols());
+/// Columns of W per weight-stationary sweep: one block of every stacked row
+/// of y (at most 15 rows x 2 KiB on the kSimd decode path) stays in L1
+/// while the W rows' segments stream past it.
+constexpr std::size_t kColumnBlock = 256;
+
+/// Raw-pointer y = x W (+ bias), weight-stationary: for each column block
+/// of W, each W row segment is loaded once and applied to every stacked row
+/// of x, so a batch streams W once instead of once per row. Every element
+/// still accumulates in `matmul`'s order (k ascending, zero x entries
+/// skipped, bias added after the full sum), so rows are bit-identical to
+/// Linear::forward / scalar_fused, without the per-element bounds checks
+/// the hot batched path cannot afford. Elementwise only: carries the ISA
+/// dispatch.
+[[gnu::always_inline]] inline MatrixD raw_linear_scalar_body(
+    const MatrixD& x, const MatrixD& w, std::span<const double> bias) {
+  const std::size_t rows = x.rows();
   const std::size_t inner = x.cols();
   const std::size_t out = w.cols();
+  MatrixD y(rows, out);
+  const double* x_data = x.flat().data();
   const double* w_data = w.flat().data();
   double* y_data = y.flat().data();
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const double* x_row = x.row(i).data();
-    double* y_row = y_data + i * out;
+  for (std::size_t j0 = 0; j0 < out; j0 += kColumnBlock) {
+    const std::size_t width = std::min(kColumnBlock, out - j0);
     for (std::size_t k = 0; k < inner; ++k) {
-      const double aik = x_row[k];
-      if (aik == 0.0) continue;
-      const double* w_row = w_data + k * out;
-      for (std::size_t j = 0; j < out; ++j) y_row[j] += aik * w_row[j];
+      const double* w_seg = w_data + k * out + j0;
+      for (std::size_t i = 0; i < rows; ++i) {
+        const double aik = x_data[i * inner + k];
+        if (aik == 0.0) continue;
+        simd::axpy(y_data + i * out + j0, aik, w_seg, width);
+      }
     }
     if (!bias.empty()) {
-      for (std::size_t j = 0; j < out; ++j) y_row[j] += bias[j];
+      const double* b_seg = bias.data() + j0;
+      for (std::size_t i = 0; i < rows; ++i) {
+        double* y_seg = y_data + i * out + j0;
+        FLASHABFT_PRAGMA(omp simd)
+        for (std::size_t j = 0; j < width; ++j) y_seg[j] += b_seg[j];
+      }
     }
   }
   return y;
 }
+FLASHABFT_WIDE_KERNEL(MatrixD, raw_linear_scalar,
+                      (const MatrixD& x, const MatrixD& w,
+                       std::span<const double> bias),
+                      (x, w, bias))
 
 }  // namespace
 
@@ -86,18 +109,8 @@ MatrixD guarded_linear(const Linear& layer, const MatrixD& in, OpKind kind,
   GuardedOp op = executor.run(
       kind, index, layer.forward_cost(in.rows()),
       [&](std::size_t attempt) {
-        CheckedOp checked = layer.checked_forward(in, context);
-        if (cached != nullptr && attempt == 0) {
-          FLASHABFT_ENSURE(cached->row_w.size() == in.cols());
-          double predicted = double(in.rows()) * cached->bias_sum;
-          for (std::size_t k = 0; k < in.cols(); ++k) {
-            double col = 0.0;
-            for (std::size_t r = 0; r < in.rows(); ++r) col += in(r, k);
-            predicted += col * cached->row_w[k];
-          }
-          checked.check.predicted = predicted;
-        }
-        return checked;
+        return layer.checked_forward(in, context,
+                                     attempt == 0 ? cached : nullptr);
       },
       [&] { return layer.checked_forward(in, executor.fallback_context()); });
   MatrixD out = std::move(op.output);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/guarded_op.hpp"
+#include "tensor/backend.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/random.hpp"
 
@@ -35,9 +36,12 @@ class Linear {
   /// fused kernels' write-back rounding contract). Executed through a
   /// GuardedExecutor this is the `kProjection` / `kFfn` GuardedOp.
   /// Replaces the former `ComputeBackend backend` parameter — see the
-  /// DESIGN.md §12 migration table.
-  [[nodiscard]] CheckedOp checked_forward(const MatrixD& x,
-                                          const KernelContext& context = {}) const;
+  /// DESIGN.md §12 migration table. With `cached` (see input_checksums())
+  /// the prediction uses those construction-time sums, and the fused kernel
+  /// skips its own rowsum(W) pass.
+  [[nodiscard]] CheckedOp checked_forward(
+      const MatrixD& x, const KernelContext& context = {},
+      const InputChecksums* cached = nullptr) const;
 
   /// Rounds the weights and bias through `dtype` in place — the one-time
   /// storage quantization of a frozen layer. Must run BEFORE
@@ -65,10 +69,7 @@ class Linear {
   /// on every call — the cache lives with whoever can guarantee it stays
   /// valid, not inside Linear (whose weight()/bias() accessors are
   /// mutable).
-  struct InputChecksums {
-    std::vector<double> row_w;  ///< rowsum(W), in_features long.
-    double bias_sum = 0.0;
-  };
+  using InputChecksums = flashabft::InputChecksums;
   [[nodiscard]] InputChecksums input_checksums() const;
 
   /// Storage-integrity staleness of `cached` against the live weights: the

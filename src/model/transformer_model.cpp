@@ -221,20 +221,28 @@ std::size_t TransformerModel::argmax(const std::vector<double>& logits) {
   return best;
 }
 
-void TransformerModel::lm_head_row(std::span<const double> h_row,
-                                   ComputeBackend engine,
-                                   double* out) const {
-  const MatrixD& table = embedding_.table();
-  for (std::size_t v = 0; v < cfg_.vocab_size; ++v) {
-    if (engine == ComputeBackend::kSimd) {
-      out[v] = simd::dot(h_row.data(), table.row(v).data(), cfg_.model_dim);
-    } else {
+void TransformerModel::lm_head_rows(const MatrixD& h, std::size_t first,
+                                    ComputeBackend engine,
+                                    MatrixD& out) const {
+  const std::size_t dim = cfg_.model_dim;
+  const std::size_t vocab = cfg_.vocab_size;
+  const std::size_t rows = out.rows();
+  FLASHABFT_ENSURE(h.cols() == dim && out.cols() == vocab &&
+                   first + rows <= h.rows());
+  const double* h_data = h.flat().data() + first * dim;
+  const double* table = embedding_.table().flat().data();
+  double* out_data = out.flat().data();
+  for (std::size_t v = 0; v < vocab; ++v) {
+    const double* t_row = table + v * dim;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* h_row = h_data + r * dim;
       double dot = 0.0;
-      const double* t_row = table.row(v).data();
-      for (std::size_t j = 0; j < cfg_.model_dim; ++j) {
-        dot += h_row[j] * t_row[j];
+      if (engine == ComputeBackend::kSimd) {
+        dot = simd::dot(h_row, t_row, dim);
+      } else {
+        for (std::size_t j = 0; j < dim; ++j) dot += h_row[j] * t_row[j];
       }
-      out[v] = dot;
+      out_data[r * vocab + v] = dot;
     }
   }
 }
@@ -250,7 +258,7 @@ std::vector<double> TransformerModel::lm_head(
   const auto run = [&](const KernelContext& context) {
     CheckedOp op;
     op.output = MatrixD(1, cfg_.vocab_size);
-    lm_head_row(h.row(last), context.backend, op.output.row(0).data());
+    lm_head_rows(h, last, context.backend, op.output);
     // Storage write-back: logits are stored in context.dtype and the
     // actual checksum sums the stored values (predicted stays wide).
     dtype_round_span(op.output.row(0), context.dtype);
@@ -418,13 +426,11 @@ std::vector<std::vector<double>> TransformerModel::lm_head_batch(
   const KernelContext context = executors.front()->kernel_context();
 
   // One stacked logits product; the tied table (and colsum(E)) stream once
-  // per batch. Row readout shared with the per-session lm_head, followed by
-  // the same storage write-back rounding.
+  // per batch. Readout shared with the per-session lm_head, followed by the
+  // same storage write-back rounding.
   MatrixD y(batch, cfg_.vocab_size);
-  for (std::size_t s = 0; s < batch; ++s) {
-    lm_head_row(h_stacked.row(s), context.backend, y.row(s).data());
-    dtype_round_span(y.row(s), context.dtype);
-  }
+  lm_head_rows(h_stacked, 0, context.backend, y);
+  dtype_round_span(y.flat(), context.dtype);
   const std::vector<double>& col_e = lm_colsum_;
 
   // Per-session recomputation engine for retries/fallback: the same
@@ -432,7 +438,7 @@ std::vector<std::vector<double>> TransformerModel::lm_head_batch(
   const auto run_one = [&](std::size_t s, const KernelContext& engine) {
     CheckedOp op;
     op.output = MatrixD(1, cfg_.vocab_size);
-    lm_head_row(h_stacked.row(s), engine.backend, op.output.row(0).data());
+    lm_head_rows(h_stacked, s, engine.backend, op.output);
     dtype_round_span(op.output.row(0), engine.dtype);
     const double* h_row = h_stacked.row(s).data();
     for (std::size_t j = 0; j < cfg_.model_dim; ++j) {

@@ -163,8 +163,8 @@ class TransformerModel {
   /// kKvPage verification, its own per-head attention and its own
   /// executor (`executors[i]`, whose tamper hook carries that session's
   /// faults). Results align with the inputs; per-session reports stay
-  /// independent for attribution, and scalar outputs are bit-identical to
-  /// per-session `decode_step_paged` calls.
+  /// independent for attribution, and outputs on either compute backend
+  /// are bit-identical to per-session `decode_step_paged` calls.
   [[nodiscard]] std::vector<StepResult> decode_step_batch(
       std::span<const std::size_t> tokens,
       std::span<const GuardedExecutor* const> executors,
@@ -229,12 +229,14 @@ class TransformerModel {
       std::span<const GuardedExecutor* const> executors,
       std::span<LayerReport* const> reports) const;
 
-  /// One row of tied-head logits, out[v] = dot(h_row, E[v]) on `engine` —
-  /// the single readout every LM-head path (per-session, batched clean
-  /// path, retry/fallback recompute) shares, which is what keeps them
-  /// bit-identical.
-  void lm_head_row(std::span<const double> h_row, ComputeBackend engine,
-                   double* out) const;
+  /// Tied-head logits for rows [first, first + out.rows()) of `h`:
+  /// out(r, v) = dot(h[first + r], E[v]) on `engine`. Table-row-outer, so
+  /// each E row streams once per call and meets every h row in cache. The
+  /// single readout every LM-head path (per-session, batched clean path,
+  /// retry/fallback recompute) shares, which is what keeps them
+  /// bit-identical: each logit is the same dot however many rows ride along.
+  void lm_head_rows(const MatrixD& h, std::size_t first,
+                    ComputeBackend engine, MatrixD& out) const;
 
   TransformerConfig cfg_;
   Embedding embedding_;

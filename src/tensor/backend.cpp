@@ -12,15 +12,45 @@ namespace {
 
 std::atomic<ComputeBackend> g_default_backend{ComputeBackend::kScalar};
 
+/// The product half of the microkernel for C rows [i0, i_end): a block of
+/// kSimdRowTile C rows stays live across a kSimdDepthTile-deep K sweep; the
+/// inner j loop is the vector axis. Every C element accumulates a_ik·b_kj in
+/// ascending k — the scalar `matmul` order — and nothing here reduces across
+/// lanes, so the AVX2 compile is bit-identical to the baseline one. Each A
+/// element is broadcast exactly once (j is not blocked), so this is where
+/// its colsum(A) contribution is taken when `col_a` is non-null.
+[[gnu::always_inline]] inline void product_row_block_body(
+    const MatrixD& a, const MatrixD& b, MatrixD& c, std::size_t i0,
+    std::size_t i_end, double* col_a) {
+  const std::size_t depth = a.cols();
+  const std::size_t n = b.cols();
+  for (std::size_t k0 = 0; k0 < depth; k0 += kSimdDepthTile) {
+    const std::size_t k_end = std::min(k0 + kSimdDepthTile, depth);
+    for (std::size_t i = i0; i < i_end; ++i) {
+      const double* a_row = a.row(i).data();
+      double* c_row = c.row(i).data();
+      for (std::size_t k = k0; k < k_end; ++k) {
+        const double a_ik = a_row[k];
+        if (col_a != nullptr) col_a[k] += a_ik;
+        simd::axpy(c_row, a_ik, b.row(k).data(), n);
+      }
+    }
+  }
+}
+FLASHABFT_WIDE_KERNEL(void, product_row_block,
+                      (const MatrixD& a, const MatrixD& b, MatrixD& c,
+                       std::size_t i0, std::size_t i_end, double* col_a),
+                      (a, b, c, i0, i_end, col_a))
+
 /// The shared blocked microkernel: C = A * B [+ bias], optionally
-/// accumulating colsum(A) and Σ C in-tile. A block of kSimdRowTile C rows
-/// stays live across a kSimdDepthTile-deep K sweep; the inner j loop is the
-/// vector axis. Each A element is broadcast exactly once, which is where
-/// its colsum contribution is taken; each finished C row block is reduced
-/// (and biased) while still cache-hot — no second pass over C.
+/// accumulating colsum(A) and Σ C in-tile. Each finished C row block is
+/// reduced (and biased) while still cache-hot — no second pass over C. The
+/// reductions stay on the baseline ISA, so the checksum pair keeps its lane
+/// order whichever product compile ran.
 FusedMatmul simd_matmul_impl(const MatrixD& a, const MatrixD& b,
                              std::span<const double> bias, bool fuse_checks,
-                             DType dtype = DType::kF32) {
+                             DType dtype = DType::kF32,
+                             const InputChecksums* cached = nullptr) {
   const std::size_t m = a.rows();
   const std::size_t depth = a.cols();
   const std::size_t n = b.cols();
@@ -32,20 +62,8 @@ FusedMatmul simd_matmul_impl(const MatrixD& a, const MatrixD& b,
 
   for (std::size_t i0 = 0; i0 < m; i0 += kSimdRowTile) {
     const std::size_t i_end = std::min(i0 + kSimdRowTile, m);
-    for (std::size_t k0 = 0; k0 < depth; k0 += kSimdDepthTile) {
-      const std::size_t k_end = std::min(k0 + kSimdDepthTile, depth);
-      for (std::size_t i = i0; i < i_end; ++i) {
-        const double* a_row = a.row(i).data();
-        double* c_row = result.c.row(i).data();
-        for (std::size_t k = k0; k < k_end; ++k) {
-          const double a_ik = a_row[k];
-          // Each A element is broadcast exactly once (j is not blocked), so
-          // this is where its colsum(A) contribution is taken.
-          if (fuse_checks) col_a[k] += a_ik;
-          simd::axpy(c_row, a_ik, b.row(k).data(), n);
-        }
-      }
-    }
+    product_row_block(a, b, result.c, i0, i_end,
+                      fuse_checks ? col_a.data() : nullptr);
     // Finalize this row block while its C rows are hot: bias, storage
     // write-back rounding, then the actual Σ over what was stored.
     for (std::size_t i = i0; i < i_end; ++i) {
@@ -61,14 +79,19 @@ FusedMatmul simd_matmul_impl(const MatrixD& a, const MatrixD& b,
   }
 
   if (fuse_checks) {
-    // rowsum(B): input-side checksum, one vectorized streaming pass.
-    std::vector<double> row_b(depth, 0.0);
-    for (std::size_t k = 0; k < depth; ++k) {
-      row_b[k] = simd::sum(b.row(k).data(), n);
-    }
-    result.predicted = simd::dot(col_a.data(), row_b.data(), depth);
-    if (!bias.empty()) {
-      result.predicted += double(m) * simd::sum(bias.data(), bias.size());
+    if (cached != nullptr) {
+      result.predicted = simd::dot(col_a.data(), cached->row_w.data(), depth);
+      if (!bias.empty()) result.predicted += double(m) * cached->bias_sum;
+    } else {
+      // rowsum(B): input-side checksum, one vectorized streaming pass.
+      std::vector<double> row_b(depth, 0.0);
+      for (std::size_t k = 0; k < depth; ++k) {
+        row_b[k] = simd::sum(b.row(k).data(), n);
+      }
+      result.predicted = simd::dot(col_a.data(), row_b.data(), depth);
+      if (!bias.empty()) {
+        result.predicted += double(m) * simd::sum(bias.data(), bias.size());
+      }
     }
     result.actual = actual;
   }
@@ -114,17 +137,25 @@ MatrixD simd_row_softmax(const MatrixD& scores) {
 /// removes).
 FusedMatmul scalar_fused(const MatrixD& a, const MatrixD& b,
                          std::span<const double> bias,
-                         DType dtype = DType::kF32) {
+                         DType dtype = DType::kF32,
+                         const InputChecksums* cached = nullptr) {
   FusedMatmul result;
   result.c = matmul(a, b);
   const std::vector<double> col_a = column_sums(a);
-  const std::vector<double> row_b = row_sums(b);
+  const std::vector<double> live_row_b =
+      cached != nullptr ? std::vector<double>{} : row_sums(b);
+  const std::vector<double>& row_b =
+      cached != nullptr ? cached->row_w : live_row_b;
   for (std::size_t k = 0; k < col_a.size(); ++k) {
     result.predicted += col_a[k] * row_b[k];
   }
   if (!bias.empty()) {
     double bias_sum = 0.0;
-    for (const double v : bias) bias_sum += v;
+    if (cached != nullptr) {
+      bias_sum = cached->bias_sum;
+    } else {
+      for (const double v : bias) bias_sum += v;
+    }
     result.predicted += double(a.rows()) * bias_sum;
     for (std::size_t i = 0; i < result.c.rows(); ++i) {
       for (std::size_t j = 0; j < result.c.cols(); ++j) {
@@ -140,6 +171,18 @@ FusedMatmul scalar_fused(const MatrixD& a, const MatrixD& b,
 }
 
 }  // namespace
+
+bool cpu_has_avx2() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
 
 const char* backend_name(ComputeBackend backend) {
   switch (backend) {
@@ -198,14 +241,18 @@ FusedMatmul backend_matmul_fused(const MatrixD& a, const MatrixD& b,
 
 FusedMatmul backend_linear_fused(const MatrixD& x, const MatrixD& w,
                                  std::span<const double> bias,
-                                 ComputeBackend backend, DType dtype) {
+                                 ComputeBackend backend, DType dtype,
+                                 const InputChecksums* cached) {
   FLASHABFT_ENSURE(x.cols() == w.rows());
   FLASHABFT_ENSURE_MSG(bias.empty() || bias.size() == w.cols(),
                        "bias size " << bias.size() << " != " << w.cols());
+  FLASHABFT_ENSURE_MSG(cached == nullptr || cached->row_w.size() == w.rows(),
+                       "cached rowsum(W) of " << cached->row_w.size()
+                                              << " rows != " << w.rows());
   if (backend == ComputeBackend::kScalar) {
-    return scalar_fused(x, w, bias, dtype);
+    return scalar_fused(x, w, bias, dtype, cached);
   }
-  return simd_matmul_impl(x, w, bias, /*fuse_checks=*/true, dtype);
+  return simd_matmul_impl(x, w, bias, /*fuse_checks=*/true, dtype, cached);
 }
 
 }  // namespace flashabft

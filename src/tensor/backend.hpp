@@ -18,10 +18,12 @@
 // actual checksum is reduced from each output row block while it is still
 // cache-hot — so the checked product never takes a second pass over its
 // output. (rowsum(B) is an input-side checksum, computed once as B streams
-// in — the software analogue of Fig. 3's Σ block.)
+// in — the software analogue of Fig. 3's Σ block — or handed in by the
+// owner of a frozen B.)
 //
 // Backend selection must not change *what* is computed: parity tests
-// (tests/test_backend.cpp) hold SIMD to scalar agreement within rounding
+// (tests/test_backend.cpp) hold the SIMD matmul products to the scalar
+// reference bit for bit, the other kernels to agreement within rounding
 // across odd shapes, and alarm behavior to parity under injected faults.
 #pragma once
 
@@ -42,6 +44,31 @@
 #define FLASHABFT_PRAGMA(directive)
 #endif
 
+// Runtime ISA dispatch for width-independent kernels (DESIGN.md §7).
+// FLASHABFT_WIDE_KERNEL(ret, name, params, args) defines `name` over the
+// always-inline `name##_body`. On x86-64 the body is compiled once for AVX2
+// and once for the baseline ISA, and each call runs the AVX2 compile when
+// cpu_has_avx2(). Only loops whose per-element arithmetic is the same at
+// every vector width (elementwise mul/add; no reductions, whose lane split
+// follows the width) may use it. FMA is never enabled and the build pins
+// -ffp-contract=off, so every output element is the same IEEE mul/add
+// sequence on either compile. The choice is a plain branch, not
+// target_clones: an ifunc resolver runs before ThreadSanitizer's runtime is
+// up and crashes instrumented binaries at load.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define FLASHABFT_WIDE_KERNEL(ret, name, params, args)                       \
+  __attribute__((target("avx2"))) ret name##_avx2 params {                   \
+    return name##_body args;                                                 \
+  }                                                                          \
+  ret name##_baseline params { return name##_body args; }                    \
+  ret name params {                                                          \
+    return cpu_has_avx2() ? name##_avx2 args : name##_baseline args;         \
+  }
+#else
+#define FLASHABFT_WIDE_KERNEL(ret, name, params, args) \
+  ret name params { return name##_body args; }
+#endif
+
 namespace flashabft {
 
 /// Which implementation family a kernel dispatches to.
@@ -56,6 +83,10 @@ inline constexpr std::size_t kComputeBackendCount = 2;
 /// Parses "scalar" / "simd" (the `--backend=` CLI values).
 [[nodiscard]] std::optional<ComputeBackend> parse_backend(
     std::string_view name);
+
+/// Whether the running CPU executes AVX2 (probed once; false off x86-64).
+/// FLASHABFT_WIDE_KERNEL branches on it.
+[[nodiscard]] bool cpu_has_avx2();
 
 /// Process-wide default backend (thread-safe; initial value kScalar). It
 /// seeds `FlashAbftOptions::backend`, `GuardedExecutor::Options::compute`
@@ -126,6 +157,15 @@ inline void axpy(double* y, double alpha, const double* x, std::size_t n) {
 
 }  // namespace simd
 
+/// The input-side ABFT checksums of a weight matrix W and bias b: rowsum(W)
+/// (W.rows() long) and Σb. Owners of frozen weights compute them once and
+/// hand them to backend_linear_fused, which then skips its own rowsum(W)
+/// pass — a full extra stream of the weights on every call.
+struct InputChecksums {
+  std::vector<double> row_w;
+  double bias_sum = 0.0;
+};
+
 /// A product plus the matmul-ABFT checksum pair that came out of the same
 /// tiles (kSimd) or a reference second pass (kScalar).
 struct FusedMatmul {
@@ -165,11 +205,13 @@ struct FusedMatmul {
 /// y = x W + bias with the fused checksum pair; `bias` may be empty, else
 /// bias.size() == W.cols(). predicted includes the rows·Σbias term, actual
 /// is taken over the biased (and dtype-rounded — see backend_matmul_fused)
-/// output — the Linear::checked_forward identity.
-[[nodiscard]] FusedMatmul backend_linear_fused(const MatrixD& x,
-                                               const MatrixD& w,
-                                               std::span<const double> bias,
-                                               ComputeBackend backend,
-                                               DType dtype = DType::kF32);
+/// output — the Linear::checked_forward identity. With `cached`, predicted
+/// takes rowsum(W) and Σb from it instead of the live W and bias (the
+/// caller's construction-time checksums: a weight upset after construction
+/// then breaks the identity instead of entering both sides of it).
+[[nodiscard]] FusedMatmul backend_linear_fused(
+    const MatrixD& x, const MatrixD& w, std::span<const double> bias,
+    ComputeBackend backend, DType dtype = DType::kF32,
+    const InputChecksums* cached = nullptr);
 
 }  // namespace flashabft

@@ -5,7 +5,10 @@
 // behave identically on both backends (alarm parity).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/blocked_flash_attention.hpp"
@@ -235,6 +238,205 @@ GuardedExecutor::Options executor_options(ComputeBackend backend) {
   GuardedExecutor::Options options;
   options.compute = backend;
   return options;
+}
+
+// --- Bit-exact product kernels -------------------------------------------
+//
+// The vectorized product loops (including their AVX2 clones) only widen
+// elementwise mul/add, so every output element is the same IEEE sequence as
+// the scalar `matmul`: k ascending, zero x entries contributing nothing,
+// bias added after the full sum. These tests hold that to the bit, over
+// shapes that are not multiples of the row tile (4), the depth tile (64) or
+// the weight-stationary column block (256).
+
+/// The same IEEE doubles, not merely close ones.
+void expect_bitwise_equal(const MatrixD& got, const MatrixD& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      if (std::bit_cast<std::uint64_t>(got(i, j)) !=
+          std::bit_cast<std::uint64_t>(want(i, j))) {
+        ADD_FAILURE() << what << ": element (" << i << ", " << j << ") is "
+                      << got(i, j) << ", reference " << want(i, j);
+        return;
+      }
+    }
+  }
+}
+
+struct LinearShape {
+  std::size_t inner, out;
+};
+
+const std::vector<LinearShape>& bit_exact_shapes() {
+  static const std::vector<LinearShape> shapes = {
+      {1, 1}, {3, 5}, {63, 7}, {65, 66}, {130, 257}, {257, 300}, {31, 513}};
+  return shapes;
+}
+
+/// Gaussian input with exact zeros: every third entry, the whole second
+/// row (when there is one), and a negative zero in the last row.
+MatrixD input_with_zeros(std::size_t rows, std::size_t inner,
+                         std::uint64_t seed) {
+  MatrixD x = random_matrix(rows, inner, seed);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t k = 0; k < inner; ++k) {
+      if ((i + k) % 3 == 0 || i == 1) x(i, k) = 0.0;
+    }
+  }
+  x(rows - 1, 0) = -0.0;
+  return x;
+}
+
+/// tensor_ops `matmul` plus the bias row, added after the full sum.
+MatrixD reference_linear(const MatrixD& x, const MatrixD& w,
+                         std::span<const double> bias) {
+  MatrixD y = matmul(x, w);
+  if (!bias.empty()) {
+    for (std::size_t i = 0; i < y.rows(); ++i) {
+      for (std::size_t j = 0; j < y.cols(); ++j) y(i, j) += bias[j];
+    }
+  }
+  return y;
+}
+
+Linear bit_exact_layer(const LinearShape& shape, bool with_bias) {
+  Rng rng(shape.inner * 1000 + shape.out);
+  Linear layer = Linear::random_init(shape.inner, shape.out, rng);
+  if (with_bias) {
+    for (double& b : layer.bias()) b = rng.next_gaussian();
+  } else {
+    layer.bias().clear();
+  }
+  return layer;
+}
+
+TEST(Backend, SimdMatmulIsBitExactWithReference) {
+  for (const LinearShape& shape : bit_exact_shapes()) {
+    const MatrixD w = random_matrix(shape.inner, shape.out, shape.out + 5);
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      const MatrixD x = input_with_zeros(rows, shape.inner, rows * 31);
+      expect_bitwise_equal(backend_matmul(x, w, ComputeBackend::kSimd),
+                           matmul(x, w),
+                           "backend_matmul " + std::to_string(rows) + "x" +
+                               std::to_string(shape.inner) + "x" +
+                               std::to_string(shape.out));
+    }
+  }
+}
+
+TEST(Backend, SimdLinearFusedIsBitExactWithReference) {
+  for (const bool with_bias : {false, true}) {
+    for (const LinearShape& shape : bit_exact_shapes()) {
+      const Linear layer = bit_exact_layer(shape, with_bias);
+      const Linear::InputChecksums cached = layer.input_checksums();
+      for (std::size_t rows = 1; rows <= 9; ++rows) {
+        const MatrixD x = input_with_zeros(rows, shape.inner, rows * 37);
+        const MatrixD want =
+            reference_linear(x, layer.weight(), layer.bias());
+        const std::string what =
+            "backend_linear_fused " + std::to_string(rows) + "x" +
+            std::to_string(shape.inner) + "x" + std::to_string(shape.out) +
+            (with_bias ? " +bias" : "");
+        expect_bitwise_equal(
+            backend_linear_fused(x, layer.weight(), layer.bias(),
+                                 ComputeBackend::kSimd)
+                .c,
+            want, what);
+        expect_bitwise_equal(
+            backend_linear_fused(x, layer.weight(), layer.bias(),
+                                 ComputeBackend::kSimd, DType::kF32, &cached)
+                .c,
+            want, what + " (cached sums)");
+      }
+    }
+  }
+}
+
+TEST(Backend, StackedDecodeLinearIsBitExactWithReference) {
+  // guarded_linear_batch's shared product: one row per group (the decode
+  // sweep's shape) and one group holding every row, on both backends. Up to
+  // 15 rows this is the weight-stationary raw loop; 17 rows takes the tiled
+  // SIMD microkernel on kSimd.
+  const std::vector<std::size_t> row_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17};
+  for (const ComputeBackend backend :
+       {ComputeBackend::kScalar, ComputeBackend::kSimd}) {
+    const GuardedExecutor executor(executor_options(backend));
+    for (const bool with_bias : {false, true}) {
+      for (const LinearShape& shape : bit_exact_shapes()) {
+        const Linear layer = bit_exact_layer(shape, with_bias);
+        for (const std::size_t rows : row_counts) {
+          const MatrixD x = input_with_zeros(rows, shape.inner, rows * 41);
+          const MatrixD want =
+              reference_linear(x, layer.weight(), layer.bias());
+          const std::string what =
+              std::string(backend_name(backend)) + " guarded_linear_batch " +
+              std::to_string(rows) + "x" + std::to_string(shape.inner) +
+              "x" + std::to_string(shape.out) + (with_bias ? " +bias" : "");
+          for (const bool per_row : {true, false}) {
+            const std::vector<std::size_t> groups =
+                per_row ? std::vector<std::size_t>(rows, 1)
+                        : std::vector<std::size_t>{rows};
+            std::vector<const GuardedExecutor*> executors(groups.size(),
+                                                          &executor);
+            std::vector<LayerReport> reports(groups.size());
+            std::vector<LayerReport*> report_ptrs;
+            for (LayerReport& report : reports) report_ptrs.push_back(&report);
+            const std::vector<MatrixD> outputs = guarded_linear_batch(
+                layer, x, groups, OpKind::kProjection, 0, executors,
+                report_ptrs);
+            MatrixD got(rows, shape.out);
+            std::size_t base = 0;
+            for (const MatrixD& group : outputs) {
+              for (std::size_t r = 0; r < group.rows(); ++r, ++base) {
+                for (std::size_t j = 0; j < shape.out; ++j) {
+                  got(base, j) = group(r, j);
+                }
+              }
+            }
+            expect_bitwise_equal(got, want, what);
+            for (const LayerReport& report : reports) {
+              EXPECT_TRUE(report.all_accepted_clean()) << what;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Backend, LinearFusedCachedSumsKeepThePairAndCatchStaleWeights) {
+  Rng rng(515);
+  Linear layer = Linear::random_init(70, 45, rng);
+  for (double& b : layer.bias()) b = 0.1 * rng.next_gaussian();
+  const Linear::InputChecksums cached = layer.input_checksums();
+  const MatrixD x = random_matrix(5, 70, 616);
+  const std::vector<double> col_x = column_sums(x);
+  for (const ComputeBackend backend :
+       {ComputeBackend::kScalar, ComputeBackend::kSimd}) {
+    const FusedMatmul live =
+        backend_linear_fused(x, layer.weight(), layer.bias(), backend);
+    const FusedMatmul from_cache = backend_linear_fused(
+        x, layer.weight(), layer.bias(), backend, DType::kF32, &cached);
+    expect_bitwise_equal(from_cache.c, live.c, "cached vs live output");
+    EXPECT_EQ(from_cache.actual, live.actual);
+    expect_close(from_cache.predicted, live.predicted, 1e-12);
+    expect_close(from_cache.predicted, from_cache.actual, 1e-10);
+  }
+  // A weight upset after the sums were cached enters only the actual side
+  // of the cached pair; the live pair re-derives it and stays consistent.
+  layer.weight()(3, 7) += 0.75;
+  for (const ComputeBackend backend :
+       {ComputeBackend::kScalar, ComputeBackend::kSimd}) {
+    const FusedMatmul live =
+        backend_linear_fused(x, layer.weight(), layer.bias(), backend);
+    const FusedMatmul stale = backend_linear_fused(
+        x, layer.weight(), layer.bias(), backend, DType::kF32, &cached);
+    expect_close(live.predicted, live.actual, 1e-10);
+    expect_close(stale.actual - stale.predicted, 0.75 * col_x[3], 1e-9);
+  }
 }
 
 TEST(Backend, AlarmParityUnderInjectedProjectionFault) {

@@ -4,8 +4,11 @@
 // guarded LM head, and KV-corruption recovery inside a decode step.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "model/transformer_model.hpp"
@@ -232,6 +235,79 @@ TEST(TransformerModel, KvCorruptionBetweenStepsIsRepairedInPlace) {
   EXPECT_EQ(step.next_token, golden.next_token);
   for (std::size_t v = 0; v < small_model().vocab_size; ++v) {
     EXPECT_EQ(step.logits[v], golden.logits[v]);
+  }
+}
+
+// The continuous-batching sweep must not change a single bit: at every
+// batch size, each session's logits and next token from decode_step_batch
+// equal an independent per-session decode_step_paged run over the same
+// prompt, step after step. The shape puts the FFN and the vocabulary past
+// one 256-column weight-stationary block, with widths that are not
+// multiples of it.
+TEST(TransformerModel, DecodeStepBatchMatchesPerSessionDecodeBitwise) {
+  TransformerConfig cfg = small_model();
+  cfg.vocab_size = 300;
+  cfg.model_dim = 20;
+  cfg.num_layers = 2;
+  cfg.head_dim = 10;
+  cfg.ffn_dim = 270;
+  const TransformerModel model(cfg, 106);
+  constexpr std::size_t kSteps = 4;
+  for (const ComputeBackend compute :
+       {ComputeBackend::kScalar, ComputeBackend::kSimd}) {
+    GuardedExecutor::Options options;
+    options.compute = compute;
+    const GuardedExecutor exec(options);
+    for (std::size_t batch = 1; batch <= 8; ++batch) {
+      KvPagePool batch_pool(model.make_pool_config(4, 0, batch));
+      KvPagePool single_pool(model.make_pool_config(4, 0, batch));
+      std::vector<PagedKv> batch_kvs, single_kvs;
+      std::vector<std::size_t> batch_tokens, single_tokens;
+      for (std::size_t s = 0; s < batch; ++s) {
+        std::vector<std::size_t> prompt;
+        for (std::size_t i = 0; i < 3 + s % 4; ++i) {
+          prompt.push_back((s * 37 + i * 11 + 1) % cfg.vocab_size);
+        }
+        batch_kvs.push_back(batch_pool.make_session(s + 1));
+        single_kvs.push_back(single_pool.make_session(s + 1));
+        batch_tokens.push_back(
+            model.prefill_paged(prompt, AttentionBackend::kFlashAbft, exec,
+                                batch_pool, batch_kvs.back())
+                .next_token);
+        single_tokens.push_back(
+            model.prefill_paged(prompt, AttentionBackend::kFlashAbft, exec,
+                                single_pool, single_kvs.back())
+                .next_token);
+      }
+      std::vector<PagedKv*> kv_ptrs;
+      for (PagedKv& kv : batch_kvs) kv_ptrs.push_back(&kv);
+      const std::vector<const GuardedExecutor*> executors(batch, &exec);
+      for (std::size_t step = 0; step < kSteps; ++step) {
+        const std::vector<StepResult> stacked = model.decode_step_batch(
+            batch_tokens, executors, AttentionBackend::kFlashAbft,
+            batch_pool, kv_ptrs);
+        ASSERT_EQ(stacked.size(), batch);
+        for (std::size_t s = 0; s < batch; ++s) {
+          const StepResult single = model.decode_step_paged(
+              single_tokens[s], AttentionBackend::kFlashAbft, exec,
+              single_pool, single_kvs[s]);
+          const std::string where = std::string(backend_name(compute)) +
+                                    " batch " + std::to_string(batch) +
+                                    " session " + std::to_string(s) +
+                                    " step " + std::to_string(step);
+          EXPECT_TRUE(stacked[s].report.all_accepted_clean()) << where;
+          EXPECT_EQ(stacked[s].next_token, single.next_token) << where;
+          ASSERT_EQ(stacked[s].logits.size(), single.logits.size());
+          for (std::size_t v = 0; v < single.logits.size(); ++v) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(stacked[s].logits[v]),
+                      std::bit_cast<std::uint64_t>(single.logits[v]))
+                << where << " logit " << v;
+          }
+          batch_tokens[s] = stacked[s].next_token;
+          single_tokens[s] = single.next_token;
+        }
+      }
+    }
   }
 }
 
