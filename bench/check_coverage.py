@@ -3,7 +3,8 @@
 
 Compares a freshly measured BENCH_faults.json candidate against the
 committed baseline and fails (exit 1) when any (scheduler, subsystem,
-dtype) cell's detection quality regresses:
+dtype) cell's detection quality regresses (the scheduler is always
+"continuous", the only generation engine):
 
   * detection coverage regression: the candidate's coverage upper
     confidence bound falls below the baseline coverage minus --max-drop
@@ -17,18 +18,17 @@ dtype) cell's detection quality regresses:
 
 Protected-control-plane gates (PR 7), checked on the candidate alone:
 
-  * scheduler_state cells must exist on BOTH engines and clear
-    --min-protected-coverage with their coverage upper bound (the sealed
-    session metadata closed what used to be a 0%-coverage blind spot —
-    this gate keeps it closed), and
-  * latent_kv cells must exist on both engines, clear the same coverage
-    floor, and attribute at least --min-scrub-fraction of their detected
-    trials to the background scrubber (scrub_found) — detection must
-    happen before a decode read trips on the corruption, not at it, and
+  * scheduler_state cells must exist and clear --min-protected-coverage
+    with their coverage upper bound (the sealed session metadata closed
+    what used to be a 0%-coverage blind spot — this gate keeps it
+    closed), and
+  * latent_kv cells must exist, clear the same coverage floor, and
+    attribute at least --min-scrub-fraction of their detected trials to
+    the background scrubber (scrub_found) — detection must happen before
+    a decode read trips on the corruption, not at it, and
   * shared_prefix cells (PR 8: one corrupted shared page, many readers)
-    must exist on both engines and clear the same coverage floor — the
-    single-checksum multi-reader pages must stay as well-detected as
-    private ones.
+    must exist and clear the same coverage floor — the single-checksum
+    multi-reader pages must stay as well-detected as private ones.
 
 Comparing CI bounds against baseline point values (rather than point vs
 point) keeps the gate honest across trial counts: the CI smoke run uses
@@ -160,29 +160,28 @@ def main():
     # keep the control plane as well-detected as f32 did.
     for dtype in swept_dtypes(candidate):
         for subsystem in ("scheduler_state", "latent_kv", "shared_prefix"):
-            for scheduler in ("legacy", "continuous"):
-                label = f"{scheduler}/{subsystem}@{dtype}"
-                cell = candidate_cells.get((scheduler, subsystem, dtype))
-                if cell is None:
-                    failures.append(f"missing protected cell: {label}")
-                    continue
-                cov_high = cell.get("coverage_ci_high", 0.0)
-                if cov_high < args.min_protected_coverage:
-                    failures.append(
-                        f"{label}: coverage upper bound {cov_high:.4f} < "
-                        f"floor {args.min_protected_coverage}")
-                if subsystem != "latent_kv":
-                    continue
-                outcomes = cell.get("outcomes", {})
-                detected = (outcomes.get("detected_corrected", 0) +
-                            outcomes.get("detected_uncorrected", 0))
-                scrub_found = cell.get("scrub_found", 0)
-                if detected > 0 and scrub_found < (
-                        args.min_scrub_fraction * detected):
-                    failures.append(
-                        f"{label}: scrubber found {scrub_found}/{detected} "
-                        f"detected latent trials "
-                        f"(< {args.min_scrub_fraction:.0%})")
+            label = f"continuous/{subsystem}@{dtype}"
+            cell = candidate_cells.get(("continuous", subsystem, dtype))
+            if cell is None:
+                failures.append(f"missing protected cell: {label}")
+                continue
+            cov_high = cell.get("coverage_ci_high", 0.0)
+            if cov_high < args.min_protected_coverage:
+                failures.append(
+                    f"{label}: coverage upper bound {cov_high:.4f} < "
+                    f"floor {args.min_protected_coverage}")
+            if subsystem != "latent_kv":
+                continue
+            outcomes = cell.get("outcomes", {})
+            detected = (outcomes.get("detected_corrected", 0) +
+                        outcomes.get("detected_uncorrected", 0))
+            scrub_found = cell.get("scrub_found", 0)
+            if detected > 0 and scrub_found < (
+                    args.min_scrub_fraction * detected):
+                failures.append(
+                    f"{label}: scrubber found {scrub_found}/{detected} "
+                    f"detected latent trials "
+                    f"(< {args.min_scrub_fraction:.0%})")
 
     if failures:
         print(f"coverage gate FAILED ({len(failures)} problem(s), "

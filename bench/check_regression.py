@@ -29,7 +29,7 @@ committed baseline and fails (exit 1) when:
 Scenarios are matched by (name, mode, backend).
 
 Config guard: both files record the full effective run configuration
-("config": seed, backend, scheduler, page size, request counts, ...).
+("config": seed, backend, page size, request counts, ...).
 When the configs disagree the comparison is refused (exit 2) instead of
 silently diffing apples against oranges — a baseline recorded at a
 different seed or page size is not a baseline. A file without a "config"

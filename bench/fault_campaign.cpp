@@ -1,23 +1,21 @@
 // Whole-stack serving fault-injection campaign (BENCH_faults.json).
 //
-// Runs seeded single-fault trials against the real serving stack — both
-// the legacy per-session engine and the continuous-batching scheduler,
-// each driven deterministically one tick at a time — drawing each trial's
-// fault uniformly over the subsystem site registry (weights, activations,
-// KV pages, page tables, scheduler/session metadata, checksum state) and
-// over injection time (prefill + every decode step), and classifies every
-// trial against a fault-free golden run:
+// Runs seeded single-fault trials against the real serving stack — the
+// continuous-batching scheduler, driven deterministically one tick at a
+// time — drawing each trial's fault uniformly over the subsystem site
+// registry (weights, activations, KV pages, page tables, scheduler/session
+// metadata, checksum state) and over injection time (prefill + every
+// decode step), and classifies every trial against a fault-free golden
+// run:
 //
 //   detected_corrected / detected_uncorrected / masked / sdc / crash_hang
 //
-// Output: per-(scheduler, subsystem, dtype) detection coverage and SDC
-// rates with Wilson 95% intervals, injection-time curves and per-OpKind
-// splits — written as JSON for the check_coverage.py CI gate.
+// Output: per-(subsystem, dtype) detection coverage and SDC rates with
+// Wilson 95% intervals, injection-time curves and per-OpKind splits —
+// written as JSON for the check_coverage.py CI gate.
 //
 // Flags (shared serving knobs via serve/options.hpp):
-//   --trials=N        trials per (scheduler, subsystem) cell (default
-//                     1000, so even the continuous-only page-table
-//                     subsystem clears 1000 seeded trials)
+//   --trials=N        trials per subsystem cell (default 1000)
 //   --seed=N          campaign seed (default 2026; identical seeds
 //                     reproduce identical trial-by-trial outcomes)
 //   --sessions=N      concurrent sessions per trial (default 3)
@@ -30,8 +28,8 @@
 //                     committed-baseline behavior; 1 wedges every trial
 //                     into crash_hang — CI's flight-dump forcing knob)
 //   --flight-dump=PATH  append every crash_hang trial's flight-recorder
-//                     dump here, headed by the scheduler, the injected
-//                     subsystem and the trial index
+//                     dump here, headed by the injected subsystem and the
+//                     trial index
 
 #include <fstream>
 #include <iostream>
@@ -76,9 +74,8 @@ int main(int argc, char** argv) {
     cfg.dtype = dtype;
     std::cout << "\n=== dtype " << dtype_name(dtype) << " ===\n";
     results.push_back(run_campaign(cfg, [](const CellResult& cell) {
-      std::cout << "  " << serve::scheduler_mode_name(cell.scheduler) << " / "
-                << subsystem_name(cell.subsystem) << ": " << cell.trials
-                << " trials, coverage "
+      std::cout << "  " << subsystem_name(cell.subsystem) << ": "
+                << cell.trials << " trials, coverage "
                 << 100.0 * cell.detection_coverage().rate << "%, sdc "
                 << 100.0 * cell.sdc_rate().rate << "%\n";
     }));

@@ -2,7 +2,7 @@
 // the multi-threaded guarded serving engine (src/serve), fault-free and
 // under an injected-fault campaign — for raw attention-head requests, full
 // protected decoder-layer requests, and autoregressive generation sessions
-// (prefill + resumable decode steps over the checksummed KV cache).
+// (continuous batching over the checksummed paged KV pool).
 //
 // Reports, per scenario: throughput, p50/p95/p99 end-to-end latency (plus
 // tokens/sec and time-to-first-token for generation), the alarm / recovery
@@ -17,7 +17,7 @@
 //   --max-batch=N          batch former admission cap     (default 8)
 //   --batch-deadline-us=N  batch forming deadline         (default 200)
 //   --inject-faults=BOOL   run the fault campaigns too    (default true)
-//   --mode=attention|layer|generate|continuous|prefix|dtype|both|all
+//   --mode=attention|layer|continuous|prefix|dtype|obs|both|all
 //                          payloads (default all; both = attention+layer,
 //                          the pre-generation set; continuous = generation
 //                          sessions through the continuous-batching
@@ -27,7 +27,8 @@
 //                          baseline] and cached [prefix cache on]; dtype =
 //                          continuous generation again at the low-precision
 //                          storage dtype, fault-free [the zero-false-alarm
-//                          gate] and injected)
+//                          gate] and injected; obs = the tracing-cost
+//                          pair described below)
 //   --dtype=f32|bf16|f16   low-precision storage dtype of the dtype
 //                          scenario family (default f32, which makes the
 //                          family run at bf16; an explicit bf16/f16 picks
@@ -43,10 +44,6 @@
 //                          whole number of KV pages at the default
 //                          --page-size=16, so the full stem is shareable;
 //                          each prompt adds a 4-token private suffix)
-//   --scheduler=legacy|continuous   engine of the *generate* scenario
-//                          family (default legacy; the continuous family
-//                          always runs the continuous scheduler, so the
-//                          default "all" run records the head-to-head)
 //   --page-size=N          KV-pool page size, tokens per page (default 16)
 //   --max-batch-tokens=N   scheduler decode-batch cap       (default 16)
 //   --requests=N --concurrency=N --heads=N --seq-cap=N
@@ -115,7 +112,6 @@ struct ScenarioMetrics {
   std::string name;
   std::string mode;
   ComputeBackend backend = ComputeBackend::kScalar;
-  SchedulerMode scheduler = SchedulerMode::kLegacy;
   DType dtype = DType::kF32;
   bool ok = false;
   LoadReport report;
@@ -126,7 +122,6 @@ struct ScenarioMetrics {
 struct EffectiveConfig {
   std::uint64_t seed = 0;
   std::string backend;
-  std::string scheduler;
   std::string preset;
   std::size_t threads = 0;
   std::size_t max_batch = 0;
@@ -266,7 +261,6 @@ void write_json(const std::string& path,
       << config.threads << ",\n  \"config\": {\n"
       << "    \"seed\": " << config.seed << ",\n"
       << "    \"backend\": \"" << config.backend << "\",\n"
-      << "    \"scheduler\": \"" << config.scheduler << "\",\n"
       << "    \"preset\": \"" << config.preset << "\",\n"
       << "    \"threads\": " << config.threads << ",\n"
       << "    \"max_batch\": " << config.max_batch << ",\n"
@@ -326,8 +320,6 @@ void write_json(const std::string& path,
         << "      \"name\": \"" << json_escape_name(s.name) << "\",\n"
         << "      \"mode\": \"" << s.mode << "\",\n"
         << "      \"backend\": \"" << backend_name(s.backend) << "\",\n"
-        << "      \"scheduler\": \"" << scheduler_mode_name(s.scheduler)
-        << "\",\n"
         << "      \"dtype\": \"" << dtype_name(s.dtype) << "\",\n"
         << "      \"ok\": " << (s.ok ? "true" : "false") << ",\n"
         << "      \"requests\": " << s.report.completed << ",\n"
@@ -423,9 +415,9 @@ void write_json(const std::string& path,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  // Shared serving knobs (threads, batching, paged-KV geometry, scheduler,
-  // dtype, seed, preset) come from the common helper; only the
-  // bench-private flags are parsed here.
+  // Shared serving knobs (threads, batching, paged-KV geometry, dtype,
+  // seed, preset) come from the common helper; only the bench-private
+  // flags are parsed here.
   const auto common = parse_common_serve_options(args);
   if (!common) return 2;
   const bool inject_faults = args.get_bool("inject-faults", true);
@@ -467,7 +459,6 @@ int main(int argc, char** argv) {
   const bool run_attention =
       mode == "attention" || mode == "both" || mode == "all";
   const bool run_layer = mode == "layer" || mode == "both" || mode == "all";
-  const bool run_generate = mode == "generate" || mode == "all";
   const bool run_continuous = mode == "continuous" || mode == "all";
   const bool run_prefix = mode == "prefix" || mode == "all";
   const bool run_dtype = mode == "dtype" || mode == "all";
@@ -480,7 +471,6 @@ int main(int argc, char** argv) {
   // Prefix-workload prompts: the shared stem plus a 4-token private
   // suffix (so CoW always has a divergence point to fork at).
   const std::size_t prefix_prompt_len = prefix_len + 4;
-  const SchedulerMode generate_scheduler = common->scheduler;
 
   std::vector<ComputeBackend> backends;
   if (backend_arg == "both") {
@@ -500,8 +490,6 @@ int main(int argc, char** argv) {
   const auto scenario = [&](const std::string& title,
                             RequestMode request_mode, double probability,
                             ComputeBackend compute,
-                            SchedulerMode scheduler_mode =
-                                SchedulerMode::kLegacy,
                             bool prefix_workload = false,
                             bool prefix_cache_on = true,
                             DType dtype = DType::kF32,
@@ -510,7 +498,6 @@ int main(int argc, char** argv) {
     ServerConfig config =
         make_calibrated_server_config(preset, /*lanes=*/16, seq_cap, seed);
     apply_common_options(*common, config);
-    config.scheduler.mode = scheduler_mode;
     // The scenario's dtype, not --dtype: base families always measure f32
     // (baseline-comparable), the dtype family passes low_dtype explicitly.
     config.dtype = dtype;
@@ -546,8 +533,6 @@ int main(int argc, char** argv) {
 
     const bool layer_mode = request_mode == RequestMode::kDecoderLayer;
     const bool generate_mode = request_mode == RequestMode::kGeneration;
-    const bool continuous =
-        generate_mode && scheduler_mode == SchedulerMode::kContinuous;
     InferenceServer server(config);
     LoadDriverConfig load;
     load.mode = request_mode;
@@ -587,7 +572,6 @@ int main(int argc, char** argv) {
     t.add_row({"p99 latency (us)",
                format_number(report.telemetry.total_p99_us, 1)});
     if (generate_mode) {
-      t.add_row({"scheduler", scheduler_mode_name(scheduler_mode)});
       t.add_row({"tokens generated",
                  format_number(double(report.tokens_generated), 0)});
       t.add_row({"tokens/sec", format_number(report.tokens_per_second, 1)});
@@ -597,6 +581,14 @@ int main(int argc, char** argv) {
                  format_number(report.telemetry.ttft_p99_us, 1)});
       t.add_row({"sessions parked",
                  format_number(double(report.telemetry.sessions_parked), 0)});
+      t.add_row({"scheduler ticks",
+                 format_number(double(report.telemetry.scheduler_ticks), 0)});
+      t.add_row({"batch occupancy",
+                 format_number(report.telemetry.batch_occupancy(), 2)});
+      t.add_row({"preemptions",
+                 format_number(double(report.telemetry.preemptions), 0)});
+      t.add_row({"peak page utilization",
+                 format_number(report.telemetry.peak_page_utilization(), 2)});
     }
     if (prefix_workload) {
       const TelemetrySnapshot& tel = report.telemetry;
@@ -619,18 +611,8 @@ int main(int argc, char** argv) {
       t.add_row({"uncached ttft p50 (us)",
                  format_number(report.uncached_ttft_p50_us, 1)});
     }
-    if (continuous) {
-      t.add_row({"scheduler ticks",
-                 format_number(double(report.telemetry.scheduler_ticks), 0)});
-      t.add_row({"batch occupancy",
-                 format_number(report.telemetry.batch_occupancy(), 2)});
-      t.add_row({"preemptions",
-                 format_number(double(report.telemetry.preemptions), 0)});
-      t.add_row({"peak page utilization",
-                 format_number(report.telemetry.peak_page_utilization(), 2)});
-    }
-    // Sessions complete once but occupy many queue pops (prefill + decode
-    // continuations), so completed/batches is meaningless in generate mode.
+    // Sessions bypass the worker queue's batch former, so completed/batches
+    // is meaningless for generation.
     if (!generate_mode) {
       t.add_row({"mean batch size",
                  format_number(report.telemetry.batches > 0
@@ -726,11 +708,10 @@ int main(int argc, char** argv) {
                          obs_pair             ? "obs"
                          : dtype != DType::kF32 ? "dtype"
                          : prefix_workload    ? "prefix"
-                         : continuous         ? "continuous"
-                         : generate_mode      ? "generate"
+                         : generate_mode      ? "continuous"
                          : layer_mode         ? "layer"
                                               : "attention",
-                         compute, scheduler_mode, dtype, ok, report});
+                         compute, dtype, ok, report});
   };
 
   for (const ComputeBackend compute : backends) {
@@ -750,23 +731,12 @@ int main(int argc, char** argv) {
                  RequestMode::kDecoderLayer, fault_prob, compute);
       }
     }
-    if (run_generate) {
-      scenario("fault-free generation serving", RequestMode::kGeneration,
-               0.0, compute, generate_scheduler);
-      if (inject_faults) {
-        scenario("generation serving under injected faults",
-                 RequestMode::kGeneration, fault_prob, compute,
-                 generate_scheduler);
-      }
-    }
     if (run_continuous) {
       scenario("fault-free continuous-batching generation",
-               RequestMode::kGeneration, 0.0, compute,
-               SchedulerMode::kContinuous);
+               RequestMode::kGeneration, 0.0, compute);
       if (inject_faults) {
         scenario("continuous-batching generation under injected faults",
-                 RequestMode::kGeneration, fault_prob, compute,
-                 SchedulerMode::kContinuous);
+                 RequestMode::kGeneration, fault_prob, compute);
       }
     }
     if (run_prefix) {
@@ -775,12 +745,10 @@ int main(int argc, char** argv) {
       // criterion is measured over.
       scenario("prefix template generation (cold, cache off)",
                RequestMode::kGeneration, 0.0, compute,
-               SchedulerMode::kContinuous, /*prefix_workload=*/true,
-               /*prefix_cache_on=*/false);
+               /*prefix_workload=*/true, /*prefix_cache_on=*/false);
       scenario("prefix template generation (cached)",
                RequestMode::kGeneration, 0.0, compute,
-               SchedulerMode::kContinuous, /*prefix_workload=*/true,
-               /*prefix_cache_on=*/true);
+               /*prefix_workload=*/true, /*prefix_cache_on=*/true);
     }
     if (run_dtype) {
       // Low-precision continuous generation. The fault-free half IS the
@@ -790,13 +758,13 @@ int main(int argc, char** argv) {
       const std::string dn = dtype_name(low_dtype);
       scenario("fault-free " + dn + " continuous generation",
                RequestMode::kGeneration, 0.0, compute,
-               SchedulerMode::kContinuous, /*prefix_workload=*/false,
-               /*prefix_cache_on=*/true, low_dtype);
+               /*prefix_workload=*/false, /*prefix_cache_on=*/true,
+               low_dtype);
       if (inject_faults) {
         scenario(dn + " continuous generation under injected faults",
                  RequestMode::kGeneration, fault_prob, compute,
-                 SchedulerMode::kContinuous, /*prefix_workload=*/false,
-                 /*prefix_cache_on=*/true, low_dtype);
+                 /*prefix_workload=*/false, /*prefix_cache_on=*/true,
+                 low_dtype);
       }
     }
     if (run_obs) {
@@ -805,45 +773,13 @@ int main(int argc, char** argv) {
       // the pair at <5% throughput loss, so tracing stays cheap enough to
       // leave on in production.
       scenario("continuous generation (tracing off)", RequestMode::kGeneration,
-               0.0, compute, SchedulerMode::kContinuous,
-               /*prefix_workload=*/false, /*prefix_cache_on=*/true,
-               DType::kF32, /*obs_pair=*/true, /*trace_override=*/nullptr);
+               0.0, compute, /*prefix_workload=*/false,
+               /*prefix_cache_on=*/true, DType::kF32, /*obs_pair=*/true,
+               /*trace_override=*/nullptr);
       scenario("continuous generation (tracing on)", RequestMode::kGeneration,
-               0.0, compute, SchedulerMode::kContinuous,
-               /*prefix_workload=*/false, /*prefix_cache_on=*/true,
-               DType::kF32, /*obs_pair=*/true, &obs_pair_collector);
-    }
-  }
-
-  // The head-to-head the acceptance criteria pin: aggregate tokens/sec of
-  // the continuous scheduler vs the legacy per-session path at the same
-  // (>= 8-way) session concurrency, per backend.
-  for (const ComputeBackend compute : backends) {
-    const ScenarioMetrics* legacy = nullptr;
-    const ScenarioMetrics* continuous = nullptr;
-    for (const ScenarioMetrics& s : scenarios) {
-      if (s.backend != compute || s.report.tokens_generated == 0) continue;
-      if (s.mode == "generate" && s.scheduler == SchedulerMode::kLegacy &&
-          s.name.find("fault-free") != std::string::npos) {
-        legacy = &s;
-      }
-      if (s.mode == "continuous" &&
-          s.name.find("fault-free") != std::string::npos) {
-        continuous = &s;
-      }
-    }
-    if (legacy != nullptr && continuous != nullptr &&
-        legacy->report.tokens_per_second > 0.0) {
-      std::cout << "continuous vs legacy tokens/sec ("
-                << backend_name(compute) << "): "
-                << format_number(continuous->report.tokens_per_second, 1)
-                << " vs "
-                << format_number(legacy->report.tokens_per_second, 1)
-                << " = "
-                << format_number(continuous->report.tokens_per_second /
-                                     legacy->report.tokens_per_second,
-                                 2)
-                << "x\n\n";
+               0.0, compute, /*prefix_workload=*/false,
+               /*prefix_cache_on=*/true, DType::kF32, /*obs_pair=*/true,
+               &obs_pair_collector);
     }
   }
 
@@ -951,7 +887,6 @@ int main(int argc, char** argv) {
     EffectiveConfig effective;
     effective.seed = seed;
     effective.backend = backend_arg;
-    effective.scheduler = scheduler_mode_name(common->scheduler);
     effective.preset = common->preset;
     effective.threads = common->threads;
     effective.max_batch = common->max_batch;

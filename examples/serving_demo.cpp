@@ -15,22 +15,21 @@
 //           fault recovering in place and a persistent one escalating to
 //           the verified reference fallback — reported per op kind from
 //           the unified OpReport telemetry.
-//   act 5 — a corrupted-KV-cache rescue: autoregressive generation
-//           sessions (prefill + resumable decode steps) run through the
-//           same server; a storage upset lands in one session's cached K
-//           between decode steps, the cache's running column checksum
-//           alarms on the next read, the cache is re-materialized from its
-//           checkpoint, and the session finishes with exactly the tokens
-//           of an uncorrupted run — the kv_cache op kind carries the
-//           alarm/recovery in telemetry.
+//   act 5 — a corrupted-KV rescue: autoregressive generation sessions run
+//           through the same server's continuous-batching scheduler; a
+//           storage upset lands in one session's cached K between decode
+//           steps, the page checksum alarms on the next read, the page is
+//           restored from its checkpoint, and the session finishes with
+//           exactly the tokens of an uncorrupted run — the kv_page op kind
+//           carries the alarm/recovery in telemetry.
 //   act 6 — continuous batching over the paged KV pool: a second server
-//           runs --scheduler=continuous with a deliberately tight page
-//           pool, so eight concurrent sessions decode in one batched sweep
-//           per tick, preempt each other under page pressure and resume
-//           losslessly — while one session takes a KV-page *double fault*
-//           (page data + its page-table entry corrupted in the same tick),
-//           recovered from the page checkpoints with token-for-token
-//           parity against its fault-free twin.
+//           runs with a deliberately tight page pool, so eight concurrent
+//           sessions decode in one batched sweep per tick, preempt each
+//           other under page pressure and resume losslessly — while one
+//           session takes a KV-page *double fault* (page data + its
+//           page-table entry corrupted in the same tick), recovered from
+//           the page checkpoints with token-for-token parity against its
+//           fault-free twin.
 //   act 7 — the scrubber heals a latent fault: a session takes a KV upset
 //           at the start of a multi-tick idle window. No decode step is
 //           there to trip on it — the scrub pass between ticks walks the
@@ -250,9 +249,8 @@ int main(int argc, char** argv) {
     for (auto& f : futures) all_clean = describe(f.get()) && all_clean;
   }
 
-  // --- act 5: a corrupted KV cache rescued mid-generation. ---
-  std::cout << "\nact 5 — generation sessions + a corrupted-KV-cache "
-               "rescue:\n";
+  // --- act 5: a corrupted KV page rescued mid-generation. ---
+  std::cout << "\nact 5 — generation sessions + a corrupted-KV rescue:\n";
   {
     const std::vector<std::size_t> prompt =
         server.model().encode("the quick brown fox jumps over the lazy dog");
@@ -298,8 +296,8 @@ int main(int argc, char** argv) {
           server.submit(std::move(corrupted)).get();
       all_clean = describe_session(rescued, "KV upset") && all_clean;
       const bool same_tokens = rescued.tokens == clean_run.tokens;
-      std::cout << "  cache checksum alarmed, re-materialized from "
-                   "checkpoint; tokens match clean run: "
+      std::cout << "  page checksum alarmed, restored from checkpoint; "
+                   "tokens match clean run: "
                 << (same_tokens ? "yes" : "NO (?!)") << '\n';
       all_clean = all_clean && same_tokens &&
                   rescued.path == ServePath::kGuardedRecovered;
@@ -313,7 +311,6 @@ int main(int argc, char** argv) {
     ServerConfig continuous = config;
     continuous.max_sessions = 8;
     continuous.model.max_seq_len = 24;
-    continuous.scheduler.mode = SchedulerMode::kContinuous;
     continuous.scheduler.page_size = 4;
     // 2 layers x 6 pages fits one full session; ~half of what 8 sessions
     // want, so preemption/resume must carry the run.
@@ -392,7 +389,6 @@ int main(int argc, char** argv) {
     // deterministic scrub pass, so the idle window and the scrubber
     // interleave reproducibly instead of racing wall-clock threads.
     serve::StepperConfig stepped;
-    stepped.mode = SchedulerMode::kContinuous;
     stepped.page_size = 4;
     stepped.executor_options.dmr_glue = true;  // dual-modular glue ops.
     stepped.executor_options.dtype = common->dtype;
@@ -458,7 +454,6 @@ int main(int argc, char** argv) {
                "every reader alarms, one heal:\n";
   {
     serve::StepperConfig stepped;
-    stepped.mode = SchedulerMode::kContinuous;
     stepped.page_size = 4;
     stepped.executor_options.dmr_glue = true;
     stepped.executor_options.dtype = common->dtype;
@@ -535,7 +530,6 @@ int main(int argc, char** argv) {
     obs::FlightRecorder recorder(/*capacity=*/32);
     obs::TraceCollector collector;
     serve::StepperConfig stepped;
-    stepped.mode = SchedulerMode::kContinuous;
     stepped.page_size = 4;
     stepped.executor_options.dtype = common->dtype;
     if (common->dtype != DType::kF32) {

@@ -57,14 +57,20 @@ bool logits_diverge(const std::vector<double>& golden,
 
 namespace {
 
+// Trial streams are labelled (slot * kSubsystemCount + subsystem). The
+// campaign once swept a second generation engine in slot 0; the continuous
+// engine keeps slot 1, so its trials replay the committed baselines bit for
+// bit.
+constexpr std::size_t kStreamSlot = 1;
+
 std::vector<serve::GenerationWork> make_works(const CampaignConfig& cfg) {
   const Rng base(cfg.seed);
   // "Many users, one template": every prompt shares its first
   // prompt_len - 1 tokens (one template stream) and diverges on the last.
-  // Under the continuous engine the template pages are therefore mapped by
-  // every session of the trial, which is what gives the shared_prefix
-  // subsystem a multi-reader page to corrupt; the other subsystems see the
-  // same serving shape production traffic has.
+  // The template pages are therefore mapped by every session of the
+  // trial, which is what gives the shared_prefix subsystem a multi-reader
+  // page to corrupt; the other subsystems see the same serving shape
+  // production traffic has.
   Rng template_rng = base.derive(999);
   std::vector<std::size_t> stem;
   stem.reserve(cfg.prompt_len > 0 ? cfg.prompt_len - 1 : 0);
@@ -83,10 +89,8 @@ std::vector<serve::GenerationWork> make_works(const CampaignConfig& cfg) {
   return works;
 }
 
-serve::StepperConfig make_stepper_config(const CampaignConfig& cfg,
-                                         serve::SchedulerMode mode) {
+serve::StepperConfig make_stepper_config(const CampaignConfig& cfg) {
   serve::StepperConfig out;
-  out.mode = mode;
   out.executor_options = cfg.executor_options;
   out.max_batch_tokens = std::max<std::size_t>(cfg.sessions, 1);
   out.page_size = cfg.page_size;
@@ -177,115 +181,106 @@ CampaignResult run_campaign(
   CampaignResult result;
   result.config = cfg;
 
-  const serve::SchedulerMode modes[] = {serve::SchedulerMode::kLegacy,
-                                        serve::SchedulerMode::kContinuous};
-  for (std::size_t m = 0; m < 2; ++m) {
-    const serve::SchedulerMode mode = modes[m];
-    const serve::StepperConfig stepper_cfg = make_stepper_config(cfg, mode);
-    const std::vector<serve::SteppedSession> golden =
-        serve::run_stepped(model, works, stepper_cfg);
-    for (const serve::SteppedSession& s : golden) {
-      FLASHABFT_ENSURE_MSG(!s.failed && s.checksum_clean,
-                           "golden run not clean under "
-                               << serve::scheduler_mode_name(mode)
-                               << (s.failed ? (": " + s.error) : ""));
-    }
+  const serve::StepperConfig stepper_cfg = make_stepper_config(cfg);
+  const std::vector<serve::SteppedSession> golden =
+      serve::run_stepped(model, works, stepper_cfg);
+  for (const serve::SteppedSession& s : golden) {
+    FLASHABFT_ENSURE_MSG(!s.failed && s.checksum_clean,
+                         "golden run not clean"
+                             << (s.failed ? (": " + s.error) : ""));
+  }
 
-    for (std::size_t sub = 0; sub < kSubsystemCount; ++sub) {
-      const Subsystem subsystem = Subsystem(sub);
-      if (!subsystem_applicable(subsystem, mode)) continue;
+  for (std::size_t sub = 0; sub < kSubsystemCount; ++sub) {
+    const Subsystem subsystem = Subsystem(sub);
+    CellResult cell;
+    cell.subsystem = subsystem;
+    cell.trial_outcomes.reserve(cfg.trials_per_cell);
+    for (std::size_t trial = 0; trial < cfg.trials_per_cell; ++trial) {
+      // One independent, label-derived stream per trial: outcomes never
+      // depend on trial order or other cells' draws.
+      Rng rng = base.derive(0xCA4FA17).derive(
+          (kStreamSlot * kSubsystemCount + sub) * 1000003 + trial);
+      const TrialPlan plan = draw_trial_plan(
+          subsystem, model, cfg.sessions, cfg.max_new_tokens,
+          cfg.executor_options.recovery, rng);
 
-      CellResult cell;
-      cell.scheduler = mode;
-      cell.subsystem = subsystem;
-      cell.trial_outcomes.reserve(cfg.trials_per_cell);
-      for (std::size_t trial = 0; trial < cfg.trials_per_cell; ++trial) {
-        // One independent, label-derived stream per trial: outcomes never
-        // depend on trial order or other cells' draws.
-        Rng rng = base.derive(0xCA4FA17).derive(
-            (m * kSubsystemCount + sub) * 1000003 + trial);
-        const TrialPlan plan = draw_trial_plan(
-            subsystem, mode, model, cfg.sessions, cfg.max_new_tokens,
-            cfg.executor_options.recovery, rng);
-
-        std::vector<serve::GenerationWork> trial_works = works;
-        serve::GenerationWork& target = trial_works[plan.session];
-        if (plan.fault) target.faults.push_back(*plan.fault);
-        if (plan.kv) target.kv_corruptions.push_back(*plan.kv);
-        if (plan.tamper) target.tampers.push_back(*plan.tamper);
-        if (plan.latent_idle_ticks > 0) {
-          target.latent_idle_ticks = plan.latent_idle_ticks;
-        }
-
-        serve::StepperConfig trial_cfg = stepper_cfg;
-        // The watchdog override applies to trials only: the golden run
-        // above always gets the derived bound, so a forced-low cap turns
-        // every trial into crash_hang without invalidating the baseline.
-        trial_cfg.max_ticks = cfg.max_ticks;
-        // Flight recording is per-trial and only armed when a dump path is
-        // configured — the default campaign's trials carry no recorder.
-        obs::FlightRecorder recorder(/*capacity=*/128);
-        if (!cfg.flight_dump_path.empty()) trial_cfg.flight = &recorder;
-        if (plan.checker_tolerance_scale != 1.0) {
-          trial_cfg.executor_options.checker.abs_tolerance *=
-              plan.checker_tolerance_scale;
-          trial_cfg.executor_options.checker.rel_tolerance *=
-              plan.checker_tolerance_scale;
-          // Calibrated regimes judge from the per-kind table, so the
-          // corrupted-calibration site must widen it too or the trial
-          // would silently keep healthy thresholds.
-          if (trial_cfg.executor_options.tolerances) {
-            trial_cfg.executor_options.tolerances->scale(
-                plan.checker_tolerance_scale);
-          }
-        }
-
-        std::vector<serve::SteppedSession> outcome;
-        if (plan.weight) {
-          // Latent parameter upset: a fresh, identically-seeded model with
-          // one element shifted (weight-derived cached checksums go stale
-          // on purpose — that staleness IS the detection mechanism).
-          TransformerModel faulty(cfg.model, cfg.model_seed);
-          faulty.corrupt_weight(*plan.weight);
-          outcome = serve::run_stepped(faulty, trial_works, trial_cfg);
-        } else {
-          outcome = serve::run_stepped(model, trial_works, trial_cfg);
-        }
-
-        const bool crashed = trial_crashed(outcome);
-        const bool alarmed = trial_alarmed(outcome);
-        const bool diverged =
-            !crashed && trial_diverged(golden, outcome, divergence_tol);
-        const TrialOutcome verdict =
-            classify_trial(crashed, alarmed, diverged);
-
-        // Post-mortem for the crash/hang class: the trial's protection
-        // events (ending with the watchdog's kHang when the wedge was a
-        // budget blowout), headed by exactly what was injected where.
-        if (verdict == TrialOutcome::kCrashHang &&
-            !cfg.flight_dump_path.empty()) {
-          std::ofstream dump(cfg.flight_dump_path, std::ios::app);
-          dump << "=== crash_hang scheduler="
-               << serve::scheduler_mode_name(mode)
-               << " subsystem=" << subsystem_name(subsystem)
-               << " trial=" << trial << " step=" << plan.step << " ===\n";
-          recorder.dump(dump);
-        }
-
-        ++cell.trials;
-        ++cell.outcomes[std::size_t(verdict)];
-        if (trial_scrub_found(outcome)) ++cell.scrub_found;
-        ++cell.by_time[time_bucket(plan.step, cfg.max_new_tokens)]
-                      [std::size_t(verdict)];
-        if (plan.op_kind) {
-          ++cell.by_op_kind[std::size_t(*plan.op_kind)]
-                           [std::size_t(verdict)];
-        }
-        cell.trial_outcomes.push_back(std::uint8_t(verdict));
+      std::vector<serve::GenerationWork> trial_works = works;
+      serve::GenerationWork& target = trial_works[plan.session];
+      if (plan.fault) target.faults.push_back(*plan.fault);
+      if (plan.kv) target.kv_corruptions.push_back(*plan.kv);
+      if (plan.tamper) target.tampers.push_back(*plan.tamper);
+      if (plan.latent_idle_ticks > 0) {
+        target.latent_idle_ticks = plan.latent_idle_ticks;
       }
-      if (progress) progress(cell);
-      result.cells.push_back(std::move(cell));
+
+      serve::StepperConfig trial_cfg = stepper_cfg;
+      // The watchdog override applies to trials only: the golden run
+      // above always gets the derived bound, so a forced-low cap turns
+      // every trial into crash_hang without invalidating the baseline.
+      trial_cfg.max_ticks = cfg.max_ticks;
+      // Flight recording is per-trial and only armed when a dump path is
+      // configured — the default campaign's trials carry no recorder.
+      obs::FlightRecorder recorder(/*capacity=*/128);
+      if (!cfg.flight_dump_path.empty()) trial_cfg.flight = &recorder;
+      if (plan.checker_tolerance_scale != 1.0) {
+        trial_cfg.executor_options.checker.abs_tolerance *=
+            plan.checker_tolerance_scale;
+        trial_cfg.executor_options.checker.rel_tolerance *=
+            plan.checker_tolerance_scale;
+        // Calibrated regimes judge from the per-kind table, so the
+        // corrupted-calibration site must widen it too or the trial
+        // would silently keep healthy thresholds.
+        if (trial_cfg.executor_options.tolerances) {
+          trial_cfg.executor_options.tolerances->scale(
+              plan.checker_tolerance_scale);
+        }
+      }
+
+      std::vector<serve::SteppedSession> outcome;
+      if (plan.weight) {
+        // Latent parameter upset: a fresh, identically-seeded model with
+        // one element shifted (weight-derived cached checksums go stale
+        // on purpose — that staleness IS the detection mechanism).
+        TransformerModel faulty(cfg.model, cfg.model_seed);
+        faulty.corrupt_weight(*plan.weight);
+        outcome = serve::run_stepped(faulty, trial_works, trial_cfg);
+      } else {
+        outcome = serve::run_stepped(model, trial_works, trial_cfg);
+      }
+
+      const bool crashed = trial_crashed(outcome);
+      const bool alarmed = trial_alarmed(outcome);
+      const bool diverged =
+          !crashed && trial_diverged(golden, outcome, divergence_tol);
+      const TrialOutcome verdict =
+          classify_trial(crashed, alarmed, diverged);
+
+      // Post-mortem for the crash/hang class: the trial's protection
+      // events (ending with the watchdog's kHang when the wedge was a
+      // budget blowout), headed by exactly what was injected where. The
+      // header keeps its scheduler= field for check_trace.py's grammar.
+      if (verdict == TrialOutcome::kCrashHang &&
+          !cfg.flight_dump_path.empty()) {
+        std::ofstream dump(cfg.flight_dump_path, std::ios::app);
+        dump << "=== crash_hang scheduler=continuous"
+             << " subsystem=" << subsystem_name(subsystem)
+             << " trial=" << trial << " step=" << plan.step << " ===\n";
+        recorder.dump(dump);
+      }
+
+      ++cell.trials;
+      ++cell.outcomes[std::size_t(verdict)];
+      if (trial_scrub_found(outcome)) ++cell.scrub_found;
+      ++cell.by_time[time_bucket(plan.step, cfg.max_new_tokens)]
+                    [std::size_t(verdict)];
+      if (plan.op_kind) {
+        ++cell.by_op_kind[std::size_t(*plan.op_kind)]
+                         [std::size_t(verdict)];
+      }
+      cell.trial_outcomes.push_back(std::uint8_t(verdict));
     }
+    if (progress) progress(cell);
+    result.cells.push_back(std::move(cell));
   }
   return result;
 }

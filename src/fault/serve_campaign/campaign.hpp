@@ -1,8 +1,8 @@
 // Whole-stack fault-injection campaign over the real serving engines.
 //
-// Each trial boots the campaign's TransformerModel under one scheduler
-// (legacy per-session or continuous-batching, both driven deterministically
-// through serve::run_stepped), injects exactly one fault drawn from a
+// Each trial boots the campaign's TransformerModel under the
+// continuous-batching scheduler (driven deterministically through
+// serve::run_stepped), injects exactly one fault drawn from a
 // subsystem's site registry (sites.hpp) and classifies the outcome against
 // a fault-free golden run of the same seed:
 //
@@ -14,7 +14,7 @@
 //                         as masked
 //   crash_hang            the engine threw or the tick watchdog fired
 //
-// Aggregation is per (scheduler, subsystem) cell with Wilson-interval
+// Aggregation is per subsystem cell with Wilson-interval
 // detection coverage (detected / (detected + sdc)) and SDC rate, plus
 // injection-time curves (prefill + decode quartiles) and per-OpKind
 // splits. Identical seeds reproduce identical trial-by-trial outcomes.
@@ -72,7 +72,7 @@ struct CampaignConfig {
   std::size_t sessions = 3;  ///< concurrent sessions per trial.
   std::size_t prompt_len = 5;
   std::size_t max_new_tokens = 6;
-  std::size_t trials_per_cell = 500;  ///< per (scheduler, subsystem).
+  std::size_t trials_per_cell = 500;  ///< per subsystem.
   std::uint64_t seed = 2026;
   /// Continuous-engine shape: small pages so sessions span several.
   std::size_t page_size = 4;
@@ -84,23 +84,22 @@ struct CampaignConfig {
   /// low-precision storage with calibrated comparators.
   DType dtype = DType::kF32;
   GuardedExecutor::Options executor_options{};
-  /// Stepper watchdog override: hard cap on scheduler ticks / per-session
-  /// steps per trial. 0 keeps the stepper's derived bound — the default
-  /// every committed baseline was produced under. Setting it low (e.g. 1)
-  /// forces the crash_hang class, which is how CI exercises the flight-dump
-  /// path on demand.
+  /// Stepper watchdog override: hard cap on scheduler ticks per trial. 0
+  /// keeps the stepper's derived bound — the default every committed
+  /// baseline was produced under. Setting it low (e.g. 1) forces the
+  /// crash_hang class, which is how CI exercises the flight-dump path on
+  /// demand.
   std::size_t max_ticks = 0;
   /// When non-empty, every crash_hang trial appends its flight-recorder
-  /// dump here, headed by a line naming the scheduler, the injected
-  /// subsystem and the trial index — the post-mortem for a wedged trial.
+  /// dump here, headed by a line naming the injected subsystem and the
+  /// trial index — the post-mortem for a wedged trial.
   /// Trials only carry a recorder when this is set, so the default
   /// campaign's behavior (and its committed outcome streams) are untouched.
   std::string flight_dump_path{};
 };
 
-/// One (scheduler, subsystem) cell's tallies.
+/// One subsystem cell's tallies.
 struct CellResult {
-  serve::SchedulerMode scheduler = serve::SchedulerMode::kLegacy;
   Subsystem subsystem = Subsystem::kActivations;
   std::size_t trials = 0;
   std::array<std::size_t, kTrialOutcomeCount> outcomes{};
@@ -139,11 +138,11 @@ struct CellResult {
 
 struct CampaignResult {
   CampaignConfig config;
-  std::vector<CellResult> cells;  ///< scheduler-major, subsystem order.
+  std::vector<CellResult> cells;  ///< subsystem order.
 };
 
-/// Runs trials_per_cell trials for every applicable (scheduler, subsystem)
-/// cell. `progress` (optional) fires after each completed cell.
+/// Runs trials_per_cell trials for every subsystem cell. `progress`
+/// (optional) fires after each completed cell.
 [[nodiscard]] CampaignResult run_campaign(
     const CampaignConfig& cfg,
     const std::function<void(const CellResult&)>& progress = nullptr);

@@ -75,9 +75,10 @@ std::string campaign_report_json(std::span<const CampaignResult> results) {
     for (const CellResult& cell : result.cells) {
       const Proportion coverage = cell.detection_coverage();
       const Proportion sdc = cell.sdc_rate();
-      out << "    {\n      \"scheduler\": \""
-          << serve::scheduler_mode_name(cell.scheduler)
-          << "\",\n      \"subsystem\": \"" << subsystem_name(cell.subsystem)
+      // "scheduler" stays part of the cell key check_coverage.py and the
+      // committed baselines match on.
+      out << "    {\n      \"scheduler\": \"continuous\""
+          << ",\n      \"subsystem\": \"" << subsystem_name(cell.subsystem)
           << "\",\n      \"dtype\": \"" << cell_dtype
           << "\",\n      \"trials\": " << cell.trials
           << ",\n      \"scrub_found\": " << cell.scrub_found
@@ -127,19 +128,16 @@ std::string campaign_report_json(std::span<const CampaignResult> results) {
 
 std::string campaign_report_text(const CampaignResult& result) {
   std::ostringstream out;
-  out << std::left << std::setw(12) << "scheduler" << std::setw(17)
-      << "subsystem" << std::right << std::setw(7) << "trials"
-      << std::setw(10) << "det_corr" << std::setw(10) << "det_unc"
-      << std::setw(8) << "masked" << std::setw(6) << "sdc" << std::setw(7)
-      << "crash" << std::setw(10) << "coverage" << std::setw(9) << "sdc%"
-      << '\n';
+  out << std::left << std::setw(17) << "subsystem" << std::right
+      << std::setw(7) << "trials" << std::setw(10) << "det_corr"
+      << std::setw(10) << "det_unc" << std::setw(8) << "masked"
+      << std::setw(6) << "sdc" << std::setw(7) << "crash" << std::setw(10)
+      << "coverage" << std::setw(9) << "sdc%" << '\n';
   for (const CellResult& cell : result.cells) {
     const Proportion coverage = cell.detection_coverage();
     const Proportion sdc = cell.sdc_rate();
-    out << std::left << std::setw(12)
-        << serve::scheduler_mode_name(cell.scheduler) << std::setw(17)
-        << subsystem_name(cell.subsystem) << std::right << std::setw(7)
-        << cell.trials << std::setw(10)
+    out << std::left << std::setw(17) << subsystem_name(cell.subsystem)
+        << std::right << std::setw(7) << cell.trials << std::setw(10)
         << cell.count(TrialOutcome::kDetectedCorrected) << std::setw(10)
         << cell.count(TrialOutcome::kDetectedUncorrected) << std::setw(8)
         << cell.count(TrialOutcome::kMasked) << std::setw(6)

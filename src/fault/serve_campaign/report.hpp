@@ -7,7 +7,8 @@
 //     "trials_per_cell": N,            // OUTSIDE config: the smoke run
 //                                      // uses fewer trials on purpose and
 //                                      // must still match the baseline
-//     "results": [ { "scheduler", "subsystem", "trials",
+//     "results": [ { "scheduler" (always "continuous"), "subsystem",
+//                    "dtype", "trials", "scrub_found",
 //                    "outcomes": {class: count, ...},
 //                    "detection_coverage", "coverage_ci_low/high",
 //                    "sdc_rate", "sdc_ci_low/high",

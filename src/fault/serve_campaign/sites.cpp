@@ -29,13 +29,6 @@ std::optional<Subsystem> parse_subsystem(std::string_view name) {
   return std::nullopt;
 }
 
-bool subsystem_applicable(Subsystem subsystem, serve::SchedulerMode mode) {
-  if (subsystem == Subsystem::kPageTables) {
-    return mode == serve::SchedulerMode::kContinuous;
-  }
-  return true;
-}
-
 namespace {
 
 /// Log-uniform magnitude over [1e-8, 1] with a random sign: sweeps the
@@ -46,23 +39,14 @@ double draw_magnitude(Rng& rng) {
   return rng.next_below(2) == 0 ? mag : -mag;
 }
 
-OpKind kv_op_kind(serve::SchedulerMode mode) {
-  return mode == serve::SchedulerMode::kContinuous ? OpKind::kKvPage
-                                                   : OpKind::kKvCache;
-}
-
 }  // namespace
 
-TrialPlan draw_trial_plan(Subsystem subsystem, serve::SchedulerMode mode,
-                          const TransformerModel& model, std::size_t sessions,
-                          std::size_t max_new_tokens,
+TrialPlan draw_trial_plan(Subsystem subsystem, const TransformerModel& model,
+                          std::size_t sessions, std::size_t max_new_tokens,
                           const RecoveryPolicy& recovery, Rng& rng) {
   FLASHABFT_ENSURE_MSG(sessions > 0, "campaign needs at least one session");
   FLASHABFT_ENSURE_MSG(max_new_tokens >= 2,
                        "campaign trials need at least one decode step");
-  FLASHABFT_ENSURE_MSG(subsystem_applicable(subsystem, mode),
-                       "subsystem " << subsystem_name(subsystem)
-                                    << " has no sites under this scheduler");
   TrialPlan plan;
   plan.subsystem = subsystem;
   plan.session = std::size_t(rng.next_below(sessions));
@@ -92,7 +76,7 @@ TrialPlan draw_trial_plan(Subsystem subsystem, serve::SchedulerMode mode,
       plan.kv = serve::draw_kv_corruption(cfg, max_new_tokens,
                                           plan.magnitude, rng);
       plan.step = plan.kv->step;
-      plan.op_kind = kv_op_kind(mode);
+      plan.op_kind = OpKind::kKvPage;
       break;
     }
     case Subsystem::kPageTables: {
@@ -121,18 +105,16 @@ TrialPlan draw_trial_plan(Subsystem subsystem, serve::SchedulerMode mode,
                                               /*page_table=*/false,
                                               /*checksum_state=*/true);
           plan.step = plan.kv->step;
-          plan.op_kind = kv_op_kind(mode);
+          plan.op_kind = OpKind::kKvPage;
           break;
         case 1:
-          // Table-checksum shift where a table exists; the legacy engine's
-          // nearest equivalent is a running-sum shift.
+          // The page table's own running weighted sum.
           plan.magnitude = draw_magnitude(rng);
           plan.kv = serve::draw_kv_corruption(
               cfg, max_new_tokens, plan.magnitude, rng,
-              /*page_table=*/mode == serve::SchedulerMode::kContinuous,
-              /*checksum_state=*/true);
+              /*page_table=*/true, /*checksum_state=*/true);
           plan.step = plan.kv->step;
-          plan.op_kind = kv_op_kind(mode);
+          plan.op_kind = OpKind::kKvPage;
           break;
         case 2:
           // Readout-checksum upset: the op's output stays correct, only
@@ -165,22 +147,20 @@ TrialPlan draw_trial_plan(Subsystem subsystem, serve::SchedulerMode mode,
       plan.kv->latent = true;
       plan.latent_idle_ticks = 2 + std::size_t(rng.next_below(3));
       plan.step = plan.kv->step;
-      plan.op_kind = kv_op_kind(mode);
+      plan.op_kind = OpKind::kKvPage;
       break;
     }
     case Subsystem::kSharedPrefix: {
       // Same element space as kKvPages, but pinned (modulo the shared
       // length) into the template rows every session of the trial maps —
       // ONE corrupted shared page with S readers: each must alarm, and the
-      // page must heal exactly once. The legacy engine has no shared
-      // pages, so the flag degrades to a plain KV upset there — the
-      // diverse-engine baseline the cell is compared against.
+      // page must heal exactly once.
       plan.magnitude = draw_magnitude(rng);
       plan.kv = serve::draw_kv_corruption(cfg, max_new_tokens,
                                           plan.magnitude, rng);
       plan.kv->shared_prefix = true;
       plan.step = plan.kv->step;
-      plan.op_kind = kv_op_kind(mode);
+      plan.op_kind = OpKind::kKvPage;
       break;
     }
   }

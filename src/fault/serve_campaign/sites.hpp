@@ -7,9 +7,9 @@
 // scheduler/session bookkeeping and the protection machinery's own
 // checksum state. A trial draws one subsystem's site uniformly in space
 // (which element) and time (which prefill/decode step) and expresses it as
-// the serving engines' native fault surfaces (WeightSite, LayerFault,
-// KvCorruption, SessionTamper, detector-tolerance corruption), so the same
-// plan replays identically on the legacy and the continuous engine.
+// the serving engine's native fault surfaces (WeightSite, LayerFault,
+// KvCorruption, SessionTamper, detector-tolerance corruption), so a plan
+// replays identically on every run.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +19,6 @@
 #include "core/guarded_op.hpp"
 #include "model/transformer_model.hpp"
 #include "serve/request.hpp"
-#include "serve/scheduler.hpp"
 #include "tensor/random.hpp"
 
 namespace flashabft::serve_campaign {
@@ -28,8 +27,8 @@ namespace flashabft::serve_campaign {
 enum class Subsystem {
   kWeights = 0,      ///< model parameters (embedding, projections, FFN).
   kActivations,      ///< op outputs in flight (emulated datapath upsets).
-  kKvPages,          ///< KV storage: contiguous cache rows / pool pages.
-  kPageTables,       ///< paged-pool mapping entries (continuous only).
+  kKvPages,          ///< KV storage: pool page rows.
+  kPageTables,       ///< paged-pool mapping entries.
   kSchedulerState,   ///< session metadata: tokens, prompt, budget.
   kChecksumState,    ///< the protection state itself: sums, tolerances.
   kLatentKv,         ///< KV upset dormant through an idle window (scrub).
@@ -40,12 +39,7 @@ inline constexpr std::size_t kSubsystemCount = 8;
 [[nodiscard]] const char* subsystem_name(Subsystem subsystem);
 [[nodiscard]] std::optional<Subsystem> parse_subsystem(std::string_view name);
 
-/// Page tables only exist under the continuous scheduler; every other
-/// subsystem is measured on both engines.
-[[nodiscard]] bool subsystem_applicable(Subsystem subsystem,
-                                        serve::SchedulerMode mode);
-
-/// One trial's fault, expressed on the engines' native surfaces. Exactly
+/// One trial's fault, expressed on the engine's native surfaces. Exactly
 /// one of the site members is populated (weight / op fault / KV corruption
 /// / tamper / tolerance scale).
 struct TrialPlan {
@@ -69,14 +63,13 @@ struct TrialPlan {
   std::size_t latent_idle_ticks = 0;
 };
 
-/// Draws one trial's fault for `subsystem` under `mode`, uniform over the
+/// Draws one trial's fault for `subsystem`, uniform over the
 /// subsystem's space x time sample space, magnitudes log-uniform over
 /// [1e-8, 1] with random sign (so the coverage curves sweep the band
 /// between numerically-masked and surely-detected). `model` supplies the
 /// shapes; `sessions`/`prompt_len`/`max_new_tokens` the campaign's trial
 /// shape. Deterministic in `rng`.
 [[nodiscard]] TrialPlan draw_trial_plan(Subsystem subsystem,
-                                        serve::SchedulerMode mode,
                                         const TransformerModel& model,
                                         std::size_t sessions,
                                         std::size_t max_new_tokens,

@@ -1,26 +1,8 @@
 #include "serve/fault_surface.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace flashabft::serve {
-
-void apply_kv_corruptions(const GenerationWork& work, std::size_t step_index,
-                          KvCache& cache, bool latent) {
-  for (const KvCorruption& c : work.kv_corruptions) {
-    if (c.step != step_index || c.latent != latent) continue;
-    KvCacheLayer& layer = cache.layer(c.layer % cache.num_layers());
-    if (layer.len() == 0) continue;
-    const std::size_t col = c.col % layer.width();
-    if (c.checksum_state) {
-      layer.corrupt_checksum(col, c.delta, c.value_side);
-    } else if (c.value_side) {
-      layer.corrupt_v(c.row % layer.len(), col, c.delta);
-    } else {
-      layer.corrupt_k(c.row % layer.len(), col, c.delta);
-    }
-  }
-}
 
 void apply_kv_corruptions(const GenerationWork& work, std::size_t step_index,
                           KvPagePool& pool, PagedKv& kv, bool latent) {
@@ -90,58 +72,6 @@ void apply_session_tampers(const GenerationWork& work, SessionMeta& meta,
         break;
     }
   }
-}
-
-IdleScrubOutcome scrub_idle_window(KvCache& cache,
-                                   GuardedRecord<SessionMeta>& meta,
-                                   std::size_t idle_ticks,
-                                   const GuardedExecutor& executor) {
-  IdleScrubOutcome out;
-  // Shared item epilogue: clean passes vanish, alarmed ones are counted
-  // and their reports kept (the caller folds them into the session's
-  // accounting, so a scrub-found fault is a *detected* fault).
-  const auto classify = [&out](LayerReport report) {
-    const OpReport& op = report.ops.front();
-    if (op.recovery == RecoveryStatus::kCleanFirstTry) {
-      return scrub::ItemOutcome::kClean;
-    }
-    ++out.faults_found;
-    scrub::ItemOutcome outcome = scrub::ItemOutcome::kUnrepairable;
-    if (op.recovery == RecoveryStatus::kRecovered) {
-      ++out.repairs;
-      outcome = scrub::ItemOutcome::kRepaired;
-    } else {
-      out.clean = false;
-    }
-    out.reports.insert(out.reports.end(),
-                       std::make_move_iterator(report.ops.begin()),
-                       std::make_move_iterator(report.ops.end()));
-    return outcome;
-  };
-  scrub::Scrubber scrubber(
-      [&] {
-        std::vector<scrub::ScrubItem> items;
-        for (std::size_t layer = 0; layer < cache.num_layers(); ++layer) {
-          items.push_back({[&, layer] {
-            LayerReport report;
-            (void)guarded_cache_verify(cache.layer(layer), layer, executor,
-                                       report);
-            return classify(std::move(report));
-          }});
-        }
-        items.push_back({[&] {
-          LayerReport report;
-          (void)guarded_meta_verify(meta, /*index=*/0, executor, report);
-          return classify(std::move(report));
-        }});
-        return items;
-      },
-      scrub::Scrubber::Options{});
-  const std::size_t passes = std::max<std::size_t>(1, idle_ticks);
-  for (std::size_t pass = 0; pass < passes; ++pass) {
-    out.items_scrubbed += scrubber.run_tick();
-  }
-  return out;
 }
 
 GuardedExecutor make_generation_step_executor(

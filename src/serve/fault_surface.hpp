@@ -1,13 +1,9 @@
-// The shared fault-application surface of both generation engines.
+// The fault-application surface of the generation engine.
 //
 // A generation session's injected faults — emulated op upsets, KV storage
 // and checksum-state upsets, page-table redirects, session-metadata tampers
-// — used to be applied by engine-private code (the legacy server's step
-// loop and the continuous scheduler's tick). The fault campaign measures
-// both engines against one fault model, so the application logic lives
-// here once and every engine (server worker, scheduler tick, campaign
-// stepper) calls the same functions: identical faults land identically no
-// matter which engine executes the step.
+// — are applied here, outside the scheduler's tick code, so the whole
+// fault model reads in one place.
 //
 // Step numbering everywhere: 0 = prefill, s >= 1 = the s-th decode step.
 #pragma once
@@ -16,25 +12,17 @@
 #include <vector>
 
 #include "core/guarded_op.hpp"
-#include "core/kv_cache.hpp"
 #include "core/kv_pool.hpp"
 #include "core/meta_guard.hpp"
-#include "scrub/scrubber.hpp"
 #include "serve/request.hpp"
 
 namespace flashabft::serve {
 
-/// Applies the work's KvCorruptions scheduled for `step_index` to a legacy
-/// contiguous cache. The legacy path has no page table, so `page_table`
-/// corruptions degrade to the nearest real site: a data upset (or, with
-/// `checksum_state`, a running-sum upset). Only corruptions whose `latent`
-/// flag matches `latent` are applied: immediate upsets land just before the
-/// step's read, latent ones at the start of the session's idle window.
-void apply_kv_corruptions(const GenerationWork& work, std::size_t step_index,
-                          KvCache& cache, bool latent = false);
-
-/// The paged-pool variant: data, page-table, per-page-checksum and
-/// table-checksum upsets on the session's live pages/tables.
+/// Applies the work's KvCorruptions scheduled for `step_index` to the
+/// session's live pages/tables: data, page-table, per-page-checksum and
+/// table-checksum upsets. Only corruptions whose `latent` flag matches
+/// `latent` are applied: immediate upsets land just before the step's
+/// read, latent ones at the start of the session's idle window.
 void apply_kv_corruptions(const GenerationWork& work, std::size_t step_index,
                           KvPagePool& pool, PagedKv& kv, bool latent = false);
 
@@ -52,30 +40,10 @@ void apply_kv_corruptions(const GenerationWork& work, std::size_t step_index,
 void apply_session_tampers(const GenerationWork& work, SessionMeta& meta,
                            std::size_t step_index, std::size_t vocab_size);
 
-/// The per-step executor both engines use: `options`, with the tamper hook
-/// armed iff the work schedules op faults for `step_index`.
+/// The per-step executor: `options`, with the tamper hook armed iff the
+/// work schedules op faults for `step_index`.
 [[nodiscard]] GuardedExecutor make_generation_step_executor(
     const GenerationWork& work, std::size_t step_index,
     const GuardedExecutor::Options& options);
-
-/// Outcome of a legacy idle-window scrub (see `scrub_idle_window`).
-struct IdleScrubOutcome {
-  std::size_t items_scrubbed = 0;
-  std::size_t faults_found = 0;  ///< items that alarmed (latent faults).
-  std::size_t repairs = 0;       ///< healed from checkpoints/mirrors.
-  /// OpReports of the alarmed items (clean passes stay unreported).
-  std::vector<OpReport> reports;
-  bool clean = true;  ///< false iff an item escalated unrepaired.
-};
-
-/// The legacy engine's latent-fault window: the contiguous-cache path has
-/// no tick loop for a background scrub thread to ride, so a session's idle
-/// window collapses into `idle_ticks` inline scrub passes (minimum one)
-/// over its cache layers and sealed metadata record — the same
-/// verify-and-heal items the continuous scheduler's scrubber walks, healing
-/// from the checkpoint mirrors before the next read.
-[[nodiscard]] IdleScrubOutcome scrub_idle_window(
-    KvCache& cache, GuardedRecord<SessionMeta>& meta, std::size_t idle_ticks,
-    const GuardedExecutor& executor);
 
 }  // namespace flashabft::serve

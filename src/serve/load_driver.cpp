@@ -86,7 +86,7 @@ GenerationStepFault draw_generation_fault(const TransformerConfig& model,
   GenerationStepFault out;
   out.step = std::size_t(rng.next_below(max_new_tokens));
   // Global-op census of the decoder-only stack: L*H heads, L*4 layer
-  // projections + 1 LM head, L*2 FFN products. (kKvCache is excluded —
+  // projections + 1 LM head, L*2 FFN products. (kKvPage is excluded —
   // cache faults are injected as real storage upsets, not tampering.)
   const std::size_t heads = model.num_layers * model.num_heads;
   const std::size_t projections = model.num_layers * 4 + 1;

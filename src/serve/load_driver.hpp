@@ -40,15 +40,15 @@ struct FaultInjectionConfig {
   /// targeted op.
   double layer_fault_magnitude = 1e-3;
   /// Generation mode: of injected faults, the fraction that are KV-cache
-  /// storage upsets (detected by the cache checksum and re-materialized
-  /// from the checkpoint) rather than op tampering. Needs >= 2 generated
+  /// storage upsets (detected by the page checksum and restored from the
+  /// checkpoint) rather than op tampering. Needs >= 2 generated
   /// tokens to have a decode step that reads the cache.
   double kv_corruption_fraction = 0.5;
   /// Generation mode: element shift of a KV-cache corruption.
   double kv_corruption_delta = 1.0;
-  /// Of KV-cache upsets, the fraction redirected at the page *table*
-  /// (continuous scheduler's mapping state; the legacy cache degrades them
-  /// to data upsets). 0 keeps the PR 5 draw stream bit-identical.
+  /// Of KV-cache upsets, the fraction redirected at the page *table* (the
+  /// pool's mapping state). 0 keeps the original draw stream
+  /// bit-identical.
   double page_table_fraction = 0.0;
   /// Of KV-cache upsets, the fraction landing on checksum *state* (running
   /// sums / table checksum) instead of data — the false-alarm recovery

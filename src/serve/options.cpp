@@ -24,17 +24,6 @@ std::optional<CommonServeOptions> parse_common_serve_options(
   out.flight_dump_path =
       args.get_string("flight-dump", defaults.flight_dump_path);
 
-  const std::string scheduler_arg =
-      args.get_string("scheduler", scheduler_mode_name(defaults.scheduler));
-  const std::optional<SchedulerMode> scheduler =
-      parse_scheduler_mode(scheduler_arg);
-  if (!scheduler) {
-    std::cerr << "unknown --scheduler=" << scheduler_arg
-              << " (want legacy|continuous)\n";
-    return std::nullopt;
-  }
-  out.scheduler = *scheduler;
-
   const std::string dtype_arg =
       args.get_string("dtype", dtype_name(defaults.dtype));
   out.dtype_sweep.clear();
@@ -62,7 +51,6 @@ void apply_common_options(const CommonServeOptions& options,
   config.batching.max_batch = options.max_batch;
   config.batching.batch_deadline =
       std::chrono::microseconds(options.batch_deadline_us);
-  config.scheduler.mode = options.scheduler;
   config.scheduler.page_size = options.page_size;
   config.scheduler.max_batch_tokens = options.max_batch_tokens;
   config.scheduler.kv_budget_bytes = options.kv_budget_bytes;

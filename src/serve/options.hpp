@@ -2,7 +2,7 @@
 //
 // serve_throughput, fault_campaign and serving_demo each grew their own
 // copies of the same flag set (worker pool shape, batching deadline, paged
-// KV geometry, scheduler engine, storage dtype, seed, preset) with
+// KV geometry, storage dtype, seed, preset) with
 // drifting defaults. This helper is the single definition: one struct of
 // the common knobs, one parser over CliArgs, and one applier onto a
 // ServerConfig — binaries keep only their genuinely private flags.
@@ -30,7 +30,6 @@ struct CommonServeOptions {
   std::size_t max_batch_tokens = 16;    ///< --max-batch-tokens
   std::size_t max_sessions = 8;         ///< --max-sessions
   std::size_t kv_budget_bytes = 0;      ///< --kv-budget-bytes (0 = off)
-  SchedulerMode scheduler = SchedulerMode::kLegacy;  ///< --scheduler
   DType dtype = DType::kF32;            ///< --dtype (first sweep entry)
   /// Every dtype of a '+'-separated --dtype sweep (e.g. "f32+bf16").
   /// Always non-empty; `dtype` is its first entry. Single-regime binaries
@@ -46,9 +45,9 @@ struct CommonServeOptions {
   std::string flight_dump_path{};       ///< --flight-dump
 };
 
-/// Parses the shared flag set on top of `defaults`. Invalid enum values
-/// (--scheduler, --dtype) print a diagnostic to stderr and return nullopt
-/// so the binary can exit with a usage error.
+/// Parses the shared flag set on top of `defaults`. An invalid --dtype
+/// prints a diagnostic to stderr and returns nullopt so the binary can exit
+/// with a usage error.
 [[nodiscard]] std::optional<CommonServeOptions> parse_common_serve_options(
     const CliArgs& args, CommonServeOptions defaults = {});
 

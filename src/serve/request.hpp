@@ -7,9 +7,8 @@
 //     encoder memory), every checkable op of which (projections, per-head
 //     attention, FFN) runs through the worker's GuardedExecutor, or
 //   * GenerationWork — an autoregressive generation session: prefill over
-//     the prompt, then resumable single-token decode steps over the
-//     session's checksummed KV cache (DecodeStepWork is the internal
-//     continuation the server re-enqueues between steps).
+//     the prompt, then single-token decode steps over the session's
+//     checksummed pages of the continuous scheduler's paged KV pool.
 // The response carries the accepted outputs, how they were produced, and
 // the unified per-op OpReport stream telemetry reconciles alarms, retries
 // and escalations against.
@@ -62,9 +61,9 @@ struct LayerFault {
 };
 
 /// Builds the emulated datapath-upset tamper hook shared by decoder-layer
-/// requests, legacy generation steps and continuous-scheduler ticks: shifts
-/// one output element and the readout checksum of every matching op for its
-/// first `faulty_attempts` attempts.
+/// requests and continuous-scheduler ticks: shifts one output element and
+/// the readout checksum of every matching op for its first
+/// `faulty_attempts` attempts.
 [[nodiscard]] inline GuardedExecutor::Tamper make_layer_fault_tamper(
     std::vector<LayerFault> faults) {
   return [faults = std::move(faults)](OpKind kind, std::size_t index,
@@ -98,10 +97,10 @@ struct GenerationStepFault {
   LayerFault fault;
 };
 
-/// A KV-cache storage upset: one element of the session's live cache is
-/// shifted (running checksums left stale) just before decode step `step`
-/// reads it. The cache checksum must detect it and re-materialize from the
-/// checkpoint. `row`/`col` are taken modulo the cache's length/width at
+/// A KV storage upset: one element of the session's live pages is shifted
+/// (page checksums left stale) just before decode step `step` reads it.
+/// The kKvPage verify must detect it and restore the page from its
+/// checkpoint. `row`/`col` are taken modulo the session's length/width at
 /// injection time.
 struct KvCorruption {
   std::size_t step = 1;   ///< decode step (>= 1) that reads the bad cache.
@@ -110,29 +109,26 @@ struct KvCorruption {
   std::size_t col = 0;
   double delta = 1.0;       ///< element shift.
   bool value_side = false;  ///< corrupt V instead of K.
-  /// Continuous scheduler only: corrupt the *page-table entry* covering
-  /// `row` (redirecting it to another pool page, checksums left stale)
-  /// instead of page data — the mapping upset only the kKvPage table
-  /// checksum can detect. Ignored on the legacy contiguous-cache path,
-  /// which has no page table.
+  /// Corrupt the *page-table entry* covering `row` (redirecting it to
+  /// another pool page, checksums left stale) instead of page data — the
+  /// mapping upset only the kKvPage table checksum can detect.
   bool page_table = false;
   /// Corrupt the *checksum state* instead of the protected data: the
   /// running column sum covering (row, col) — or, with `page_table`, the
   /// table's running weighted sum — is shifted while the data stays clean.
   /// The next verify raises a false alarm and restoration rebuilds the
-  /// sums. On the legacy path `page_table` is ignored (no table exists).
+  /// sums.
   bool checksum_state = false;
   /// Latent-fault trial: the corruption lands while the session then sits
   /// *idle* for `GenerationWork::latent_idle_ticks` ticks before its next
   /// decode read. The exposure window belongs to the background scrubber,
   /// which should find and heal the fault before the read ever sees it.
   bool latent = false;
-  /// Continuous scheduler with prefix caching only: land the upset inside
-  /// the session's *shared-prefix* rows (`row` taken modulo the shared
-  /// length), so the single corrupted page is read by every co-reader —
-  /// each must alarm, and the page must heal exactly once. Falls back to
-  /// the whole cache when the session maps no shared rows; ignored (a
-  /// plain data upset) on the legacy contiguous-cache path.
+  /// Prefix caching only: land the upset inside the session's
+  /// *shared-prefix* rows (`row` taken modulo the shared length), so the
+  /// single corrupted page is read by every co-reader — each must alarm,
+  /// and the page must heal exactly once. Falls back to the whole cache
+  /// when the session maps no shared rows.
   bool shared_prefix = false;
 };
 
@@ -166,13 +162,6 @@ struct GenerationWork {
   std::size_t latent_idle_ticks = 0;
 };
 
-/// Internal continuation payload: one decode step of an active session,
-/// re-enqueued by the server so sessions interleave with other traffic.
-/// Never submitted by clients.
-struct DecodeStepWork {
-  std::uint64_t session_id = 0;
-};
-
 /// How a request's accepted outputs were produced.
 enum class ServePath {
   /// Guarded path, no alarm on the first execution of any op.
@@ -197,12 +186,12 @@ enum class SubmitResult {
 [[nodiscard]] const char* submit_result_name(SubmitResult result);
 
 /// One inference request: attention-head work, a decoder-layer forward, or
-/// a generation session (DecodeStepWork is internal-only).
+/// a generation session.
 struct ServeRequest {
   std::uint64_t id = 0;
   std::string category;  ///< workload category tag (telemetry only).
-  std::variant<AttentionWork, LayerWork, GenerationWork, DecodeStepWork>
-      work = AttentionWork{};
+  std::variant<AttentionWork, LayerWork, GenerationWork> work =
+      AttentionWork{};
   /// Stamped at admission (submit/try_submit); queue-latency telemetry.
   Clock::time_point enqueue_time{};
 };
@@ -236,13 +225,12 @@ struct ServeResponse {
   /// Last step's next-token logits — the campaign's divergence oracle.
   std::vector<double> final_logits;
   double ttft_us = 0.0;             ///< enqueue -> first token (prefill).
-  // Continuous scheduler only:
   std::size_t preemptions = 0;  ///< times the session lost its pages.
   std::size_t resumes = 0;      ///< lossless re-prefills after preemption.
   /// Prompt rows mapped from the shared-prefix index instead of being
   /// recomputed by the prefill (0 = cold miss or prefix caching off).
   std::size_t prefix_cached_tokens = 0;
-  // Scrub / control-plane accounting (both engines):
+  // Scrub / control-plane accounting:
   std::size_t meta_verifies = 0;       ///< sealed-metadata checks executed.
   std::size_t scrub_faults_found = 0;  ///< latent faults the scrubber hit.
   std::size_t scrub_repairs = 0;       ///< of those, healed from mirrors.

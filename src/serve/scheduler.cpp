@@ -36,20 +36,6 @@ KvPoolConfig scheduler_pool_config(const SchedulerConfig& cfg,
 
 }  // namespace
 
-const char* scheduler_mode_name(SchedulerMode mode) {
-  switch (mode) {
-    case SchedulerMode::kLegacy: return "legacy";
-    case SchedulerMode::kContinuous: return "continuous";
-  }
-  return "unknown";
-}
-
-std::optional<SchedulerMode> parse_scheduler_mode(std::string_view name) {
-  if (name == "legacy") return SchedulerMode::kLegacy;
-  if (name == "continuous") return SchedulerMode::kContinuous;
-  return std::nullopt;
-}
-
 ContinuousScheduler::ContinuousScheduler(
     const SchedulerConfig& cfg, const TransformerModel& model,
     const GuardedExecutor::Options& executor_options, SessionTable& sessions,
@@ -218,7 +204,7 @@ void ContinuousScheduler::loop() {
 std::size_t ContinuousScheduler::content_tokens(
     const GenerationSession& session) const {
   // The cache holds the prompt plus every generated token except the last,
-  // still-undecoded one (mirrors the legacy step protocol).
+  // still-undecoded one (the step protocol of TransformerModel::generate).
   return session.prompt().size() +
          (session.tokens().empty() ? 0 : session.tokens().size() - 1);
 }
@@ -704,7 +690,6 @@ void ContinuousScheduler::decode_tick() {
 void ContinuousScheduler::finalize(GenerationSession* session) {
   ServeResponse response;
   response.id = session->id;
-  response.worker_id = session->worker_id;
   response.batch_size = session->batch_size;
   response.tokens = session->tokens();
   response.final_logits = std::move(session->final_logits);

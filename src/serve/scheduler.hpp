@@ -1,15 +1,11 @@
 // Continuous-batching decode scheduler over the checksum-protected paged
-// KV pool.
+// KV pool — the server's generation engine.
 //
-// The legacy generation path (PR 3) advances one session per worker pass:
-// every decode step takes a queue round-trip, a batch-forming deadline and
-// a privately-owned contiguous KvCache reserved at admission. This
-// scheduler is the production-serving alternative: one scheduler thread
-// owns a shared `KvPagePool` and a run set of sessions, and every *tick*
-// advances ALL schedulable sessions one token with a single layer-major
-// `decode_step_batch` sweep — no per-token queue traffic, memory follows
-// actual sequence length, and aggregate tokens/sec scales with concurrency
-// instead of worker count.
+// One scheduler thread owns a shared `KvPagePool` and a run set of
+// sessions, and every *tick* advances ALL schedulable sessions one token
+// with a single layer-major `decode_step_batch` sweep — no per-token queue
+// traffic, memory follows actual sequence length, and aggregate tokens/sec
+// scales with concurrency instead of worker count.
 //
 // Admission flows through the server's `SessionTable` (bounded active set +
 // age-ordered parking FIFO with the starvation guard); page pressure is
@@ -22,11 +18,10 @@
 // preempted and the pool always fits one full-length session, so progress
 // is guaranteed.
 //
-// Every step runs under the same GuardedOp regime as the legacy path, plus
-// the pool's `kKvPage` verification (page contents + page-table mapping,
-// checkpoint-restore recovery) on every cached read. The legacy per-session
-// path remains available behind `SchedulerMode::kLegacy` as the diverse
-// fallback engine.
+// Every step runs under the GuardedOp regime, plus the pool's `kKvPage`
+// verification (page contents + page-table mapping, checkpoint-restore
+// recovery) on every cached read. Op-level diversity comes from the
+// scalar reference fallback every escalated op is served by.
 //
 // Threading: the scheduler thread is the only toucher of the pool, the run
 // set and session contents after activation; cross-thread handoff is the
@@ -39,8 +34,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -53,16 +46,11 @@
 
 namespace flashabft::serve {
 
-/// Which engine serves GenerationWork.
+/// The engine serving GenerationWork: the continuous scheduler is the only
+/// one (see SchedulerConfig::mode).
 enum class SchedulerMode {
-  kLegacy,      ///< PR 3 path: per-session contiguous cache, queue-driven.
   kContinuous,  ///< paged pool + continuous-batching scheduler thread.
 };
-
-[[nodiscard]] const char* scheduler_mode_name(SchedulerMode mode);
-/// Parses "legacy" / "continuous" (the `--scheduler=` CLI values).
-[[nodiscard]] std::optional<SchedulerMode> parse_scheduler_mode(
-    std::string_view name);
 
 /// Which running session loses its pages under page pressure. Victims are
 /// always strictly younger (by admission order) than the session being
@@ -73,7 +61,9 @@ enum class PreemptionPolicy {
 };
 
 struct SchedulerConfig {
-  SchedulerMode mode = SchedulerMode::kLegacy;
+  /// Has a single value; kept only so callers that name the engine
+  /// explicitly (`mode = SchedulerMode::kContinuous`) still compile.
+  SchedulerMode mode = SchedulerMode::kContinuous;
   /// Decode-batch cap: sessions advanced per tick (the "max batch tokens"
   /// of a one-token-per-session decode sweep). Excess sessions rotate in
   /// round-robin across ticks.
@@ -99,9 +89,8 @@ struct SchedulerConfig {
   /// Decode-sweep parallelism: the tick's batch is partitioned across this
   /// many threads (sessions are independent once pages are pre-reserved;
   /// slices under two sessions never spawn). 0 = resolved by the server to
-  /// its worker count capped at hardware concurrency, so the continuous
-  /// engine runs on the same thread budget as the legacy path it replaces;
-  /// an explicit value is honored as-is.
+  /// its worker count capped at hardware concurrency; an explicit value is
+  /// honored as-is.
   std::size_t sweep_threads = 0;
   /// Deterministic single-tick stepping: no scheduler thread is spawned
   /// and the owner drives every tick explicitly through `run_tick()`
@@ -126,9 +115,8 @@ struct SchedulerConfig {
   obs::FlightRecorder* flight = nullptr;
 };
 
-/// The continuous-batching engine. Owned by the server when
-/// `SchedulerConfig::mode == kContinuous`; constructed lazily with the
-/// shared TransformerModel.
+/// The continuous-batching engine. Owned by the server; constructed lazily
+/// with the shared TransformerModel.
 class ContinuousScheduler {
  public:
   ContinuousScheduler(const SchedulerConfig& cfg,

@@ -7,8 +7,6 @@
 #include "core/flash_abft.hpp"
 #include "fault/calibrate.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/trace.hpp"
-#include "serve/fault_surface.hpp"
 #include "sim/multi_head.hpp"
 
 namespace flashabft::serve {
@@ -81,10 +79,8 @@ void InferenceServer::shutdown() {
   // The no-op call_once claims the flag if no session ever arrived, so a
   // submit racing this shutdown cannot construct a scheduler afterwards
   // (it observes the claimed flag and fails like a closed-queue submit).
-  if (config_.scheduler.mode == SchedulerMode::kContinuous) {
-    std::call_once(scheduler_once_, [] {});
-    if (scheduler_ != nullptr) scheduler_->shutdown();
-  }
+  std::call_once(scheduler_once_, [] {});
+  if (scheduler_ != nullptr) scheduler_->shutdown();
 }
 
 const DecoderLayer& InferenceServer::layer() const {
@@ -105,12 +101,10 @@ const TransformerModel& InferenceServer::model() const {
 
 ContinuousScheduler& InferenceServer::scheduler() {
   std::call_once(scheduler_once_, [this] {
-    FLASHABFT_ENSURE(config_.scheduler.mode == SchedulerMode::kContinuous);
     SchedulerConfig cfg = config_.scheduler;
-    // Same thread budget as the legacy engine it replaces (the comparison
-    // and the CI baseline stay apples-to-apples), capped at what the
-    // machine can actually run in parallel — extra sweep threads on fewer
-    // cores are pure spawn/context-switch overhead per tick.
+    // The worker pool's thread budget, capped at what the machine can
+    // actually run in parallel — extra sweep threads on fewer cores are
+    // pure spawn/context-switch overhead per tick.
     if (cfg.sweep_threads == 0) {
       cfg.sweep_threads = config_.num_workers;
       const std::size_t cores = std::thread::hardware_concurrency();
@@ -152,9 +146,6 @@ InferenceServer::Pending InferenceServer::make_pending(ServeRequest request) {
                            "prompt token " << id << " outside vocab "
                                            << config_.model.vocab_size);
     }
-  } else if (std::holds_alternative<DecodeStepWork>(request.work)) {
-    FLASHABFT_ENSURE_MSG(false,
-                         "DecodeStepWork is an internal continuation");
   } else {
     const auto& layer_work = std::get<LayerWork>(request.work);
     FLASHABFT_ENSURE_MSG(
@@ -189,10 +180,9 @@ std::future<ServeResponse> InferenceServer::submit(ServeRequest request) {
   // (and bump `completed`) before this thread resumes, and a concurrent
   // snapshot must never see completed > submitted.
   telemetry_.on_submit();
-  if (config_.scheduler.mode == SchedulerMode::kContinuous &&
-      std::holds_alternative<GenerationWork>(pending.request.work)) {
-    // Continuous mode: generation sessions bypass the worker queue —
-    // admission control is the SessionTable, backpressure the paged pool.
+  if (std::holds_alternative<GenerationWork>(pending.request.work)) {
+    // Generation sessions bypass the worker queue — admission control is
+    // the SessionTable, backpressure the paged pool.
     admit_continuous(std::move(pending));
     return future;
   }
@@ -213,10 +203,9 @@ SubmitResult InferenceServer::try_submit(ServeRequest request,
   Pending pending = make_pending(std::move(request));
   std::future<ServeResponse> future = pending.promise.get_future();
   telemetry_.on_submit();  // before the push — see submit().
-  if (config_.scheduler.mode == SchedulerMode::kContinuous &&
-      std::holds_alternative<GenerationWork>(pending.request.work)) {
-    // Same admission semantics as the legacy path: the request is accepted
-    // and a table-full shed fails its future (counted as a rejection).
+  if (std::holds_alternative<GenerationWork>(pending.request.work)) {
+    // The request is accepted and a table-full shed fails its future
+    // (counted as a rejection).
     admit_continuous(std::move(pending));
     out = std::move(future);
     return SubmitResult::kAccepted;
@@ -248,7 +237,7 @@ void InferenceServer::admit_continuous(Pending pending) {
   // Resolve the scheduler first: if shutdown won the construction race
   // this throws to the submitter before any session enters the table —
   // counted as a rejection so submitted == completed + rejected still
-  // reconciles (the legacy closed-queue path pairs its throw the same way).
+  // reconciles (the closed-queue path pairs its throw the same way).
   ContinuousScheduler* engine = nullptr;
   try {
     engine = &scheduler();
@@ -305,13 +294,6 @@ void InferenceServer::worker_loop(Worker& worker) {
     if (batch.empty()) return;  // queue closed and drained.
     telemetry_.on_batch();
     for (Pending& pending : batch) {
-      // Session work manages its own promise (it lives with the session
-      // across continuations) and its own error reporting.
-      if (std::holds_alternative<GenerationWork>(pending.request.work) ||
-          std::holds_alternative<DecodeStepWork>(pending.request.work)) {
-        handle_generation(worker, std::move(pending), batch.size());
-        continue;
-      }
       // A malformed request (e.g. head shapes that don't match the
       // accelerator) must fail its own future, not escape the thread and
       // terminate the whole server.
@@ -530,228 +512,6 @@ void InferenceServer::execute_layer(const LayerWork& work,
                   : recovered               ? ServePath::kGuardedRecovered
                                             : ServePath::kGuardedClean;
   response.reports = std::move(out.report.ops);
-}
-
-void InferenceServer::handle_generation(Worker& worker, Pending pending,
-                                        std::size_t batch_size) {
-  if (std::holds_alternative<GenerationWork>(pending.request.work)) {
-    SessionAdmission admission =
-        sessions_.admit(make_session(std::move(pending)));
-    if (admission.shed != nullptr) {
-      // Active set and parking FIFO both full: generation load shedding.
-      telemetry_.on_reject();
-      admission.shed->promise.set_exception(std::make_exception_ptr(
-          EnsureError("generation session load-shed: session table full")));
-      return;
-    }
-    if (admission.parked) {
-      // Session bound reached (or an older parked session was promoted
-      // into the free slot by the starvation guard): this one waits in the
-      // table's FIFO until a completing worker activates it.
-      telemetry_.on_session_parked();
-    }
-    if (admission.activated == nullptr) return;
-    telemetry_.on_session_start();
-    drive_session(worker, admission.activated, batch_size);
-    return;
-  }
-  const std::uint64_t key =
-      std::get<DecodeStepWork>(pending.request.work).session_id;
-  drive_session(worker, sessions_.find(key), batch_size);
-}
-
-void InferenceServer::drive_session(Worker& worker,
-                                    GenerationSession* session,
-                                    std::size_t batch_size) {
-  while (session != nullptr) {
-    bool done = false;
-    try {
-      done = execute_session_step(worker, *session, batch_size);
-    } catch (...) {
-      // A failing step fails its own session, not the worker thread.
-      session->promise.set_exception(std::current_exception());
-      auto [failed, next] = sessions_.finish(session->key);
-      session = next;
-      if (session != nullptr) telemetry_.on_session_start();
-      batch_size = 1;
-      continue;
-    }
-    if (!done) {
-      ServeRequest continuation;
-      continuation.id = session->id;
-      continuation.category = session->category;
-      continuation.work = DecodeStepWork{session->key};
-      Pending next_step;
-      next_step.request = std::move(continuation);
-      if (queue_.try_push(std::move(next_step))) return;  // handed off.
-      // Queue full (or closed during shutdown drain): keep driving this
-      // session inline so it still completes.
-      batch_size = 1;
-      continue;
-    }
-    session = finalize_session(*session);
-    if (session != nullptr) telemetry_.on_session_start();
-    batch_size = 1;
-  }
-}
-
-bool InferenceServer::execute_session_step(Worker& worker,
-                                           GenerationSession& session,
-                                           std::size_t batch_size) {
-  const Clock::time_point start = Clock::now();
-  const bool is_prefill = session.tokens().empty();
-  obs::TraceSpan step_span(config_.trace,
-                           is_prefill ? "prefill" : "decode-step");
-  // Step numbering of the fault surfaces: 0 = prefill, s >= 1 = the s-th
-  // decode step.
-  const std::size_t step_index = is_prefill ? 0 : session.steps_done() + 1;
-
-  GuardedExecutor executor = make_generation_step_executor(
-      session.work, step_index, executor_options());
-  // Session-metadata tampers land before the step reads any of it (the
-  // prompt for a prefill, the fed-back token and budget for a decode step).
-  // They write through the record's raw() backdoor, so the boundary verify
-  // right after catches the stale seal and repairs from the mirror.
-  apply_session_tampers(session.work, session.meta.raw(), step_index,
-                        config_.model.vocab_size);
-  (void)verify_session_meta(session);
-
-  const TransformerModel& m = model();
-  if (is_prefill) {
-    session.cache = std::make_unique<KvCache>(m.make_cache());
-    if (session.enqueue_time != Clock::time_point{}) {
-      session.queue_us = to_us(start - session.enqueue_time);
-    }
-  } else {
-    // A latent upset lands at the start of the session's idle window; the
-    // inline scrub passes (the legacy engine's stand-in for the continuous
-    // scheduler's background scrubber) must heal it before this step reads
-    // the cache.
-    if (has_latent_corruption(session.work, step_index)) {
-      apply_kv_corruptions(session.work, step_index, *session.cache,
-                           /*latent=*/true);
-      absorb_idle_scrub(session,
-                        scrub_idle_window(*session.cache, session.meta,
-                                          session.work.latent_idle_ticks,
-                                          make_executor()));
-    }
-    // Storage upsets scheduled between steps land now, before this step
-    // reads the cache (its kKvCache check must catch and repair them).
-    apply_kv_corruptions(session.work, step_index, *session.cache);
-  }
-
-  StepResult step =
-      is_prefill ? m.prefill(session.prompt(), AttentionBackend::kFlashAbft,
-                             executor, *session.cache)
-                 : m.decode_step(session.tokens().back(),
-                                 AttentionBackend::kFlashAbft, executor,
-                                 *session.cache);
-
-  session.push_token(step.next_token);
-  session.final_logits = std::move(step.logits);
-  if (!is_prefill) session.count_step();
-  session.dmr_compares += step.report.dmr_compares();
-  session.dmr_mismatches += step.report.dmr_mismatches();
-  session.op_executions += step.report.executions();
-  session.alarm_events += step.report.alarm_events();
-  session.fallback_ops += step.report.fallback_ops();
-  session.recovered_ops += step.report.recovered_ops();
-  if (step.report.escalated_ops() > 0) telemetry_.on_escalation();
-  session.checksum_clean =
-      session.checksum_clean && step.report.all_accepted_clean();
-  std::vector<OpReport> flat = step.report.flatten();
-  session.all_reports.insert(session.all_reports.end(),
-                             std::make_move_iterator(flat.begin()),
-                             std::make_move_iterator(flat.end()));
-  session.worker_id = worker.id;
-  session.batch_size = batch_size;
-
-  const Clock::time_point end = Clock::now();
-  session.service_us += to_us(end - start);
-  if (is_prefill) {
-    session.ttft_us = session.enqueue_time != Clock::time_point{}
-                          ? to_us(end - session.enqueue_time)
-                          : session.service_us;
-  }
-  return session.done();
-}
-
-bool InferenceServer::verify_session_meta(GenerationSession& session) {
-  ++session.meta_verifies;
-  LayerReport report;
-  const bool clean =
-      guarded_meta_verify(session.meta, /*index=*/0, make_executor(), report);
-  const OpReport& op = report.ops.front();
-  // A clean first-try verify happens every step of every session; folding
-  // each into the op stream would drown the fault reports, so only alarmed
-  // verifies are absorbed (clean ones are visible via meta_verifies).
-  if (op.alarms == 0 && op.verdict == CheckVerdict::kPass) return clean;
-  session.op_executions += report.executions();
-  session.alarm_events += report.alarm_events();
-  if (op.recovery == RecoveryStatus::kRecovered) ++session.recovered_ops;
-  if (op.recovery == RecoveryStatus::kEscalated) telemetry_.on_escalation();
-  session.checksum_clean =
-      session.checksum_clean && report.all_accepted_clean();
-  session.all_reports.insert(session.all_reports.end(),
-                             std::make_move_iterator(report.ops.begin()),
-                             std::make_move_iterator(report.ops.end()));
-  return clean;
-}
-
-void InferenceServer::absorb_idle_scrub(GenerationSession& session,
-                                        IdleScrubOutcome outcome) {
-  session.scrub_faults_found += outcome.faults_found;
-  session.scrub_repairs += outcome.repairs;
-  for (const OpReport& op : outcome.reports) {
-    session.op_executions += op.executions;
-    session.alarm_events += op.alarms;
-    if (op.recovery == RecoveryStatus::kRecovered) ++session.recovered_ops;
-    if (op.recovery == RecoveryStatus::kEscalated &&
-        op.kind != OpKind::kReferenceFallback) {
-      telemetry_.on_escalation();
-    }
-  }
-  session.checksum_clean = session.checksum_clean && outcome.clean;
-  session.all_reports.insert(
-      session.all_reports.end(),
-      std::make_move_iterator(outcome.reports.begin()),
-      std::make_move_iterator(outcome.reports.end()));
-}
-
-GenerationSession* InferenceServer::finalize_session(
-    GenerationSession& session) {
-  ServeResponse response;
-  response.id = session.id;
-  response.worker_id = session.worker_id;
-  response.batch_size = session.batch_size;
-  response.tokens = session.tokens();
-  response.decode_steps = session.steps_done();
-  response.final_logits = std::move(session.final_logits);
-  response.ttft_us = session.ttft_us;
-  response.queue_us = session.queue_us;
-  response.service_us = session.service_us;
-  response.total_us = session.enqueue_time != Clock::time_point{}
-                          ? to_us(Clock::now() - session.enqueue_time)
-                          : session.service_us;
-  response.reports = std::move(session.all_reports);
-  response.op_executions = session.op_executions;
-  response.alarm_events = session.alarm_events;
-  response.fallback_ops = session.fallback_ops;
-  response.checksum_clean = session.checksum_clean;
-  response.meta_verifies = session.meta_verifies;
-  response.scrub_faults_found = session.scrub_faults_found;
-  response.scrub_repairs = session.scrub_repairs;
-  response.dmr_compares = session.dmr_compares;
-  response.dmr_mismatches = session.dmr_mismatches;
-  response.path = session.fallback_ops > 0 ? ServePath::kFallbackReference
-                  : session.recovered_ops > 0
-                      ? ServePath::kGuardedRecovered
-                      : ServePath::kGuardedClean;
-  telemetry_.on_response(response);
-  telemetry_.on_session_complete(response);
-  auto [finished, next] = sessions_.finish(session.key);
-  finished->promise.set_value(std::move(response));
-  return next;
 }
 
 }  // namespace flashabft::serve

@@ -18,15 +18,15 @@
 //     guarded individually; escalated ops fall back to a clean reference
 //     execution. The software path does not touch the worker's device, so
 //     layer escalations bypass the breaker.
-//   * GenerationWork is a *session*: the prefill runs like a batched
-//     request (filling the session's checksummed KV cache), then each
-//     decode step is re-enqueued as a DecodeStepWork continuation so steps
-//     interleave with other traffic. Concurrent sessions are bounded
-//     (SessionTable); excess sessions wait in an admission FIFO. Every
-//     step's ops — including the per-layer kKvCache cache verification,
-//     which re-materializes a corrupted cache from its checkpoint — feed
-//     the same OpReport telemetry; the response reports generated tokens,
-//     decode steps and time-to-first-token.
+//   * GenerationWork is a *session*: it bypasses the worker queue and is
+//     admitted to the continuous-batching scheduler (scheduler.hpp), which
+//     advances every running session one token per tick over the paged KV
+//     pool. Concurrent sessions are bounded (SessionTable); excess
+//     sessions wait in an admission FIFO. Every step's ops — including the
+//     per-layer kKvPage verification, which restores a corrupted page or
+//     page-table entry from its checkpoint — feed the same OpReport
+//     telemetry; the response reports generated tokens, decode steps and
+//     time-to-first-token.
 //
 // Every accepted output is checksum-verified on whichever path produced
 // it, so a completed request is checksum-clean by construction unless a
@@ -46,7 +46,6 @@
 #include "model/transformer_model.hpp"
 #include "serve/batch_former.hpp"
 #include "serve/circuit_breaker.hpp"
-#include "serve/fault_surface.hpp"
 #include "serve/request.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/scheduler.hpp"
@@ -98,10 +97,8 @@ struct ServerConfig {
   /// future fails and a rejection is counted), so generation traffic
   /// cannot grow server state without bound.
   std::size_t max_sessions = 4;
-  /// Generation engine selection + continuous-batching knobs. kLegacy (the
-  /// default) keeps the PR 3 per-session decode path; kContinuous routes
-  /// GenerationWork to the paged-pool scheduler thread (AttentionWork and
-  /// LayerWork always flow through the worker pool).
+  /// Continuous-batching knobs of the scheduler serving GenerationWork
+  /// (AttentionWork and LayerWork always flow through the worker pool).
   SchedulerConfig scheduler{};
   /// Storage dtype of the software serving stack: the constructor copies it
   /// into `layer.dtype` / `model.dtype` (weights quantized before their
@@ -153,12 +150,7 @@ class InferenceServer {
   /// also the reference for golden-token tests).
   [[nodiscard]] const TransformerModel& model() const;
 
-  /// The engine serving GenerationWork.
-  [[nodiscard]] SchedulerMode scheduler_mode() const {
-    return config_.scheduler.mode;
-  }
-
-  /// The continuous-batching engine (kContinuous mode only; lazily built
+  /// The continuous-batching engine serving GenerationWork (lazily built
   /// with the shared model).
   [[nodiscard]] ContinuousScheduler& scheduler();
 
@@ -210,11 +202,11 @@ class InferenceServer {
   [[nodiscard]] GuardedExecutor make_executor() const;
   [[nodiscard]] GuardedExecutor::Options executor_options() const;
 
-  /// Builds the session object for a popped/routed GenerationWork request.
+  /// Builds the session object for a GenerationWork request.
   [[nodiscard]] static std::unique_ptr<GenerationSession> make_session(
       Pending pending);
 
-  /// kContinuous admission: SessionTable admit + scheduler handoff (the
+  /// Generation admission: SessionTable admit + scheduler handoff (the
   /// starvation guard may promote an older parked session instead).
   void admit_continuous(Pending pending);
 
@@ -224,34 +216,6 @@ class InferenceServer {
   void execute_attention(Worker& worker, const AttentionWork& work,
                          ServeResponse& response);
   void execute_layer(const LayerWork& work, ServeResponse& response);
-
-  // --- generation sessions ---
-  /// Handles a popped GenerationWork (activate-or-park + prefill) or
-  /// DecodeStepWork (one decode step) and drives continuations.
-  void handle_generation(Worker& worker, Pending pending,
-                         std::size_t batch_size);
-  /// Runs the session's next step (prefill if no tokens yet). Returns true
-  /// when the session produced its last token.
-  [[nodiscard]] bool execute_session_step(Worker& worker,
-                                          GenerationSession& session,
-                                          std::size_t batch_size);
-  /// Runs steps until the session hands off (continuation enqueued) or
-  /// completes; on completion drives any newly activated parked session.
-  void drive_session(Worker& worker, GenerationSession* session,
-                     std::size_t batch_size);
-  /// Completes the session: builds the response, fulfills the promise,
-  /// records telemetry; returns the next parked session (now active).
-  [[nodiscard]] GenerationSession* finalize_session(
-      GenerationSession& session);
-  /// Boundary check of the session's sealed metadata record (tampers are
-  /// applied to `raw()`, so a tamper is a stale seal this verify catches
-  /// and repairs from the mirror). Clean verifies are counted but stay out
-  /// of the op stream. Returns false iff the record escalated unrepaired.
-  bool verify_session_meta(GenerationSession& session);
-  /// Folds a legacy idle-window scrub outcome (fault counters + alarmed
-  /// OpReports) into the session's accounting.
-  void absorb_idle_scrub(GenerationSession& session,
-                         IdleScrubOutcome outcome);
 
   ServerConfig config_;
   BoundedMpmcQueue<Pending> queue_;

@@ -49,29 +49,6 @@ SessionAdmission SessionTable::admit(
   return admission;
 }
 
-GenerationSession* SessionTable::find(std::uint64_t key) const {
-  std::lock_guard lock(mutex_);
-  const auto it = active_.find(key);
-  FLASHABFT_ENSURE_MSG(it != active_.end(), "unknown session " << key);
-  return it->second.get();
-}
-
-std::pair<std::unique_ptr<GenerationSession>, GenerationSession*>
-SessionTable::finish(std::uint64_t key) {
-  std::lock_guard lock(mutex_);
-  const auto it = active_.find(key);
-  FLASHABFT_ENSURE_MSG(it != active_.end(), "unknown session " << key);
-  std::unique_ptr<GenerationSession> finished = std::move(it->second);
-  active_.erase(it);
-  GenerationSession* next = nullptr;
-  if (!parked_.empty()) {
-    std::unique_ptr<GenerationSession> activated = std::move(parked_.front());
-    parked_.pop_front();
-    next = activate_locked(std::move(activated));
-  }
-  return {std::move(finished), next};
-}
-
 std::unique_ptr<GenerationSession> SessionTable::release(std::uint64_t key) {
   std::lock_guard lock(mutex_);
   const auto it = active_.find(key);

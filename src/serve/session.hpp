@@ -4,26 +4,24 @@
 // A generation request is not one unit of work — it is a prefill followed
 // by many single-token decode steps over a growing, checksummed KV cache.
 // The server keeps that state here: each `GenerationSession` owns its
-// cache, the tokens produced so far, the accumulated OpReport stream and
-// the latency bookkeeping (TTFT, per-step service time). Between steps the
-// session is *parked in the queue* as a DecodeStepWork continuation, so
-// decode steps interleave with other traffic instead of pinning a worker.
+// paged-pool handle, the tokens produced so far, the accumulated OpReport
+// stream and the latency bookkeeping (TTFT, per-step service time). The
+// continuous scheduler (scheduler.hpp) advances every running session one
+// token per tick.
 //
-// Concurrency is bounded: at most `max_active` sessions hold a KV cache at
+// Concurrency is bounded: at most `max_active` sessions are active at
 // once. A session arriving beyond the bound waits in an admission FIFO
 // (itself bounded by `max_parked` — beyond that the session is load-shed
-// and its future fails) and is activated by whichever worker completes an
-// active session — the completing worker drives the newly activated
-// session's prefill itself.
+// and its future fails); the scheduler activates parked sessions at tick
+// boundaries as slots free up.
 //
 // Sessions are addressed by a server-internal `key` (monotonic), never by
 // the client-chosen request id, so duplicate request ids cannot collide in
 // the table.
 //
 // Thread-safety: the table's map/FIFO/counters are mutex-guarded. A
-// session's *contents* are not — exactly one continuation per session
-// exists at any time (enforced by the re-enqueue protocol), so only one
-// worker ever touches a session between activation and completion.
+// session's *contents* are not — after activation only the scheduler
+// thread touches them.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +33,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/kv_cache.hpp"
 #include "core/kv_pool.hpp"
 #include "core/meta_guard.hpp"
 #include "serve/request.hpp"
@@ -50,10 +47,8 @@ struct GenerationSession {
   GenerationWork work;
   std::promise<ServeResponse> promise;
 
-  /// Built at activation (prefill); empty while parked. Legacy path only.
-  std::unique_ptr<KvCache> cache;
-  /// Continuous-batching path: the session's paged-pool handle (tables
-  /// empty while it waits for pages) and preemption accounting.
+  /// The session's paged-pool handle (tables empty while it waits for
+  /// pages) and preemption accounting.
   std::unique_ptr<PagedKv> paged;
   std::uint64_t sched_order = 0;  ///< scheduler age stamp (admission order).
   std::size_t preemptions = 0;  ///< times this session's pages were taken.
@@ -97,9 +92,8 @@ struct GenerationSession {
     meta.mutate([](SessionMeta& m) { ++m.steps_done; });
   }
 
-  // Latent-fault idle window (continuous scheduler): ticks this session
-  // still sits out of the decode batch while its latent corruption waits
-  // for the scrubber.
+  // Latent-fault idle window: ticks this session still sits out of the
+  // decode batch while its latent corruption waits for the scrubber.
   std::size_t idle_ticks_left = 0;
   /// Steps whose latent window already ran (guards re-trigger while the
   /// step counter has not advanced).
@@ -127,7 +121,6 @@ struct GenerationSession {
   std::size_t recovered_ops = 0;
   bool checksum_clean = true;
 
-  std::size_t worker_id = 0;   ///< last worker to run a step.
   std::size_t batch_size = 0;  ///< batch the last step rode in.
 
   [[nodiscard]] bool done() const {
@@ -137,9 +130,9 @@ struct GenerationSession {
 
 /// Outcome of offering a session to the table.
 struct SessionAdmission {
-  /// The session now activated, if any — drive it. Under the starvation
-  /// guard this may be an *older* parked session promoted into the free
-  /// slot while the submitted one parks behind it.
+  /// The session now activated, if any. Under the starvation guard this
+  /// may be an *older* parked session promoted into the free slot while
+  /// the submitted one parks behind it.
   GenerationSession* activated = nullptr;
   /// True when the submitted session was parked (age-ordered FIFO).
   bool parked = false;
@@ -158,28 +151,17 @@ class SessionTable {
   ///
   /// Starvation guard: a free slot never lets a fresh admission overtake
   /// the parking FIFO. If sessions are parked when a slot is free (the
-  /// continuous scheduler frees slots with `release` and activates later),
-  /// the *oldest* parked session is promoted into the slot and the fresh
-  /// one parks behind it — age-based promotion, so a long-parked session
+  /// scheduler frees slots with `release` and activates later), the
+  /// *oldest* parked session is promoted into the slot and the fresh one
+  /// parks behind it — age-based promotion, so a long-parked session
   /// cannot be bypassed indefinitely by new arrivals.
   [[nodiscard]] SessionAdmission admit(
       std::unique_ptr<GenerationSession> session);
 
-  /// The active session with table key `key`; throws if unknown (a
-  /// continuation for a dead session is a protocol bug).
-  [[nodiscard]] GenerationSession* find(std::uint64_t key) const;
-
-  /// Removes active session `key`, returning its ownership plus the next
-  /// parked session, if any, now activated in its slot (the caller must
-  /// drive it).
-  [[nodiscard]] std::pair<std::unique_ptr<GenerationSession>,
-                          GenerationSession*>
-  finish(std::uint64_t key);
-
   /// Removes active session `key` *without* activating a parked one — the
-  /// continuous scheduler's completion path (it pulls parked sessions at
-  /// tick boundaries via `try_activate_parked`, which is what makes the
-  /// admit() starvation guard load-bearing).
+  /// scheduler's completion path (it pulls parked sessions at tick
+  /// boundaries via `try_activate_parked`, which is what makes the admit()
+  /// starvation guard load-bearing).
   [[nodiscard]] std::unique_ptr<GenerationSession> release(std::uint64_t key);
 
   /// Activates the oldest parked session if a slot is free; nullptr

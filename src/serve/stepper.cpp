@@ -6,156 +6,16 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/ensure.hpp"
 #include "obs/flight_recorder.hpp"
-#include "serve/fault_surface.hpp"
 #include "serve/session.hpp"
 #include "serve/telemetry.hpp"
 
 namespace flashabft::serve {
 
-namespace {
-
-ServePath classify_path(std::size_t fallback_ops, std::size_t recovered_ops) {
-  if (fallback_ops > 0) return ServePath::kFallbackReference;
-  if (recovered_ops > 0) return ServePath::kGuardedRecovered;
-  return ServePath::kGuardedClean;
-}
-
-/// Boundary verify of the stepped session's sealed metadata — the same
-/// policy as the server's verify_session_meta: every check is counted,
-/// only alarmed ones fold into the fault accounting.
-void verify_stepped_meta(GuardedRecord<SessionMeta>& meta,
-                         const GuardedExecutor& executor, SteppedSession& out,
-                         std::size_t& recovered_ops) {
-  ++out.meta_verifies;
-  LayerReport report;
-  (void)guarded_meta_verify(meta, /*index=*/0, executor, report);
-  const OpReport& op = report.ops.front();
-  if (op.alarms == 0 && op.verdict == CheckVerdict::kPass) return;
-  out.op_executions += report.executions();
-  out.alarm_events += report.alarm_events();
-  if (op.recovery == RecoveryStatus::kRecovered) ++recovered_ops;
-  out.checksum_clean = out.checksum_clean && report.all_accepted_clean();
-}
-
-/// Mirrors the legacy server's execute_session_step loop without the
-/// worker pool: same step numbering, same fault surface, same accounting.
-SteppedSession run_legacy(const TransformerModel& model, GenerationWork work,
-                          const StepperConfig& cfg) {
-  SteppedSession out;
-  KvCache cache = model.make_cache();
-  GuardedRecord<SessionMeta> meta;
-  meta.mutate([&work](SessionMeta& m) {
-    m.prompt = work.prompt;
-    m.max_new_tokens = work.max_new_tokens;
-  });
-  GuardedExecutor::Options exec_options = cfg.executor_options;
-  exec_options.obs.trace = cfg.trace;
-  exec_options.obs.flight = cfg.flight;
-  // Untampered executor for the control-plane verifies and scrub passes —
-  // the step executor's fault hook models op upsets, not checker upsets.
-  const GuardedExecutor control_executor(exec_options);
-  std::size_t recovered_ops = 0;
-  // Budget tampers only ever shrink max_new_tokens, so the loop is
-  // intrinsically bounded; the watchdog is the defense against engine
-  // bugs, mirrored from the continuous tick budget.
-  const std::size_t max_steps =
-      cfg.max_ticks > 0 ? cfg.max_ticks : work.max_new_tokens + 8;
-  std::size_t steps = 0;
-  try {
-    while (meta.value().tokens.size() < meta.value().max_new_tokens) {
-      if (++steps > max_steps) {
-        out.failed = true;
-        out.hang = true;
-        out.error = "step budget exceeded";
-        if (cfg.flight != nullptr) {
-          cfg.flight->record(obs::FlightEventKind::kHang, "stepper",
-                             "step_budget", steps - 1);
-        }
-        break;
-      }
-      const bool is_prefill = meta.value().tokens.empty();
-      const std::size_t step_index =
-          is_prefill ? 0 : meta.value().steps_done + 1;
-      GuardedExecutor executor = make_generation_step_executor(
-          work, step_index, exec_options);
-      // Tampers write through raw(); the boundary verify catches the stale
-      // seal and repairs the record from its mirror before the step reads.
-      apply_session_tampers(work, meta.raw(), step_index,
-                            model.config().vocab_size);
-      verify_stepped_meta(meta, control_executor, out, recovered_ops);
-      if (is_prefill) {
-        // Weight-integrity scrub before the first read: a parameter upset
-        // resident at admission is storage corruption, and the bit-exact
-        // staleness check catches it at every dtype — the low-precision
-        // regime's arithmetic thresholds never widen this path.
-        LayerReport weights;
-        const bool fresh =
-            guarded_weight_verify(model, /*index=*/0, control_executor,
-                                  weights);
-        out.op_executions += weights.executions();
-        out.alarm_events += weights.alarm_events();
-        if (!fresh) ++out.scrub_faults_found;
-        out.checksum_clean =
-            out.checksum_clean && weights.all_accepted_clean();
-      }
-      if (!is_prefill) {
-        // Latent upsets land at the start of the idle window and the inline
-        // scrub passes must heal them before this step's read (the legacy
-        // stand-in for the continuous scheduler's background scrubber).
-        if (has_latent_corruption(work, step_index)) {
-          apply_kv_corruptions(work, step_index, cache, /*latent=*/true);
-          IdleScrubOutcome scrub = scrub_idle_window(
-              cache, meta, work.latent_idle_ticks, control_executor);
-          out.scrub_faults_found += scrub.faults_found;
-          out.scrub_repairs += scrub.repairs;
-          for (const OpReport& op : scrub.reports) {
-            out.op_executions += op.executions;
-            out.alarm_events += op.alarms;
-            if (op.recovery == RecoveryStatus::kRecovered) ++recovered_ops;
-          }
-          out.checksum_clean = out.checksum_clean && scrub.clean;
-        }
-        apply_kv_corruptions(work, step_index, cache);
-      }
-      StepResult step =
-          is_prefill ? model.prefill(meta.value().prompt,
-                                     AttentionBackend::kFlashAbft, executor,
-                                     cache)
-                     : model.decode_step(meta.value().tokens.back(),
-                                         AttentionBackend::kFlashAbft,
-                                         executor, cache);
-      meta.mutate([&step, is_prefill](SessionMeta& m) {
-        m.tokens.push_back(step.next_token);
-        if (!is_prefill) ++m.steps_done;
-      });
-      out.final_logits = std::move(step.logits);
-      out.op_executions += step.report.executions();
-      out.alarm_events += step.report.alarm_events();
-      out.fallback_ops += step.report.fallback_ops();
-      out.dmr_compares += step.report.dmr_compares();
-      out.dmr_mismatches += step.report.dmr_mismatches();
-      recovered_ops += step.report.recovered_ops();
-      out.checksum_clean =
-          out.checksum_clean && step.report.all_accepted_clean();
-    }
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.error = e.what();
-  } catch (...) {
-    out.failed = true;
-    out.error = "unknown exception";
-  }
-  out.tokens = meta.value().tokens;
-  out.path = classify_path(out.fallback_ops, recovered_ops);
-  return out;
-}
-
-std::vector<SteppedSession> run_continuous(const TransformerModel& model,
-                                           std::vector<GenerationWork> works,
-                                           const StepperConfig& cfg,
-                                           TelemetrySnapshot* telemetry_out) {
+std::vector<SteppedSession> run_stepped(const TransformerModel& model,
+                                        std::vector<GenerationWork> works,
+                                        const StepperConfig& cfg,
+                                        TelemetrySnapshot* telemetry_out) {
   std::vector<SteppedSession> out(works.size());
 
   const std::size_t max_active =
@@ -163,7 +23,6 @@ std::vector<SteppedSession> run_continuous(const TransformerModel& model,
   SessionTable table(max_active, works.size());
   ServeTelemetry telemetry;
   SchedulerConfig scfg;
-  scfg.mode = SchedulerMode::kContinuous;
   scfg.manual = true;
   scfg.max_batch_tokens = cfg.max_batch_tokens;
   scfg.page_size = cfg.page_size;
@@ -244,23 +103,6 @@ std::vector<SteppedSession> run_continuous(const TransformerModel& model,
       result.failed = true;
       result.error = "unknown exception";
     }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<SteppedSession> run_stepped(const TransformerModel& model,
-                                        std::vector<GenerationWork> works,
-                                        const StepperConfig& cfg,
-                                        TelemetrySnapshot* telemetry_out) {
-  if (cfg.mode == SchedulerMode::kContinuous) {
-    return run_continuous(model, std::move(works), cfg, telemetry_out);
-  }
-  std::vector<SteppedSession> out;
-  out.reserve(works.size());
-  for (GenerationWork& work : works) {
-    out.push_back(run_legacy(model, std::move(work), cfg));
   }
   return out;
 }

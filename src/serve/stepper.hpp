@@ -1,15 +1,13 @@
 // Deterministic tick-stepped execution of generation work on the real
-// serving engines.
+// serving engine.
 //
 // The fault campaign needs thousands of seeded trials whose outcomes are
-// bit-reproducible, which the production entry points cannot give: the
-// legacy server schedules steps through a worker pool and the continuous
-// scheduler runs its own thread. This stepper drives the same step code —
-// the model's prefill/decode calls, the shared fault surface
-// (fault_surface.hpp) and, in continuous mode, the actual
-// ContinuousScheduler in `SchedulerConfig::manual` single-tick mode — on
-// the calling thread, one step/tick at a time, in a fixed order. Identical
-// works + identical config => identical tokens, logits and fault
+// bit-reproducible, which the production entry point cannot give: the
+// continuous scheduler runs its own thread. This stepper drives the actual
+// ContinuousScheduler in `SchedulerConfig::manual` single-tick mode on the
+// calling thread, one tick at a time, in a fixed order — the same tick
+// code, fault surface (fault_surface.hpp) and accounting production runs.
+// Identical works + identical config => identical tokens, logits and fault
 // accounting, every run.
 #pragma once
 
@@ -40,15 +38,14 @@ struct SteppedSession {
   std::size_t dmr_compares = 0;
   std::size_t dmr_mismatches = 0;
   bool checksum_clean = true;
-  bool failed = false;  ///< a step threw / the engine failed the session.
-  bool hang = false;    ///< the step/tick watchdog fired (implies failed).
+  bool failed = false;  ///< the engine failed the session.
+  bool hang = false;    ///< the tick watchdog fired (implies failed).
   std::string error;    ///< failure description when `failed`.
 };
 
 struct StepperConfig {
-  SchedulerMode mode = SchedulerMode::kLegacy;
   GuardedExecutor::Options executor_options;
-  /// Continuous-engine shape (ignored by the legacy path).
+  /// Scheduler shape.
   std::size_t max_batch_tokens = 16;
   std::size_t page_size = 8;
   std::size_t num_pages = 0;   ///< 0 = derived (no page pressure).
@@ -56,13 +53,13 @@ struct StepperConfig {
   /// Shared-prefix KV caching (the production default; the campaign's
   /// shared_prefix subsystem needs the multi-reader pages it creates).
   bool prefix_cache = true;
-  /// Watchdog: hard cap on scheduler ticks (continuous) or per-session
-  /// steps (legacy). 0 derives a generous bound from the session budgets;
-  /// exceeding it fails the remaining sessions with `hang` set instead of
-  /// spinning forever — the campaign's crash/hang outcome class.
+  /// Watchdog: hard cap on scheduler ticks. 0 derives a generous bound
+  /// from the session budgets; exceeding it fails the remaining sessions
+  /// with `hang` set instead of spinning forever — the campaign's
+  /// crash/hang outcome class.
   std::size_t max_ticks = 0;
-  /// Non-owning observability taps, threaded into the executors and (in
-  /// continuous mode) the scheduler's own emit sites. The watchdog firing
+  /// Non-owning observability taps, threaded into the executors and the
+  /// scheduler's own emit sites. The watchdog firing
   /// records a kHang flight event, so a crash/hang trial's dump ends with
   /// the wedge itself. The stepper's internal telemetry profiler is always
   /// on — `telemetry_out->timing` carries the per-OpKind phase histograms.
@@ -71,11 +68,10 @@ struct StepperConfig {
 };
 
 /// Drives every work item to completion on the calling thread, one
-/// deterministic step (legacy) or scheduler tick (continuous) at a time.
-/// Sessions are admitted in submission order; results are index-aligned.
-/// `telemetry_out` (optional, continuous mode only) receives the final
-/// telemetry snapshot — the pool-level shared-prefix/heal counters the
-/// per-session results cannot carry.
+/// deterministic scheduler tick at a time. Sessions are admitted in
+/// submission order; results are index-aligned. `telemetry_out` (optional)
+/// receives the final telemetry snapshot — the pool-level
+/// shared-prefix/heal counters the per-session results cannot carry.
 [[nodiscard]] std::vector<SteppedSession> run_stepped(
     const TransformerModel& model, std::vector<GenerationWork> works,
     const StepperConfig& cfg, TelemetrySnapshot* telemetry_out = nullptr);

@@ -94,7 +94,7 @@ struct TelemetrySnapshot {
   std::uint64_t tokens_generated = 0;
   std::uint64_t decode_steps = 0;        ///< steps after each prefill.
 
-  // Continuous-batching scheduler (zero on the legacy path).
+  // Continuous-batching scheduler (zero until a generation session runs).
   std::uint64_t scheduler_ticks = 0;     ///< decode sweeps executed.
   std::uint64_t scheduled_steps = 0;     ///< session-steps across all ticks.
   std::uint64_t preemptions = 0;         ///< sessions whose pages were taken.
@@ -103,7 +103,7 @@ struct TelemetrySnapshot {
   std::uint64_t pages_total = 0;         ///< pool size (0 = no pool).
   std::uint64_t peak_pages_in_use = 0;
 
-  // Shared-prefix cache (zero on the legacy path or with caching off).
+  // Shared-prefix cache (zero with caching off).
   std::uint64_t prefix_hits = 0;        ///< prefills served from the index.
   std::uint64_t prefix_misses = 0;      ///< lookups that found nothing.
   std::uint64_t prefix_hit_tokens = 0;  ///< prompt rows skipped by hits.

@@ -47,7 +47,7 @@ def protected_cell(scheduler, subsystem):
 
 def coverage_baseline():
     """A minimal but schema-complete fault-campaign report (includes the
-    six protected cells the candidate-only gates require)."""
+    three protected cells the candidate-only gates require)."""
     return {
         "bench": "fault_campaign",
         "config": {
@@ -60,7 +60,7 @@ def coverage_baseline():
         "trials_per_cell": 1000,
         "results": [
             {
-                "scheduler": "legacy", "subsystem": "activations",
+                "scheduler": "continuous", "subsystem": "activations",
                 "trials": 1000,
                 "outcomes": {"detected_corrected": 900,
                              "detected_uncorrected": 50, "masked": 30,
@@ -81,11 +81,8 @@ def coverage_baseline():
                 "sdc_ci_low": 0.005, "sdc_ci_high": 0.018,
                 "time_curve": [], "per_op_kind": [],
             },
-            protected_cell("legacy", "scheduler_state"),
             protected_cell("continuous", "scheduler_state"),
-            protected_cell("legacy", "latent_kv"),
             protected_cell("continuous", "latent_kv"),
-            protected_cell("legacy", "shared_prefix"),
             protected_cell("continuous", "shared_prefix"),
         ],
     }
@@ -245,7 +242,7 @@ class GateScriptTest(unittest.TestCase):
         # scheduler_state sliding under the absolute floor must fail —
         # that cell was a 0%-coverage blind spot once already.
         cand = coverage_baseline()
-        cell = cand["results"][self.protected_index(cand, "legacy",
+        cell = cand["results"][self.protected_index(cand, "continuous",
                                                     "scheduler_state")]
         cell["detection_coverage"] = 0.5
         cell["coverage_ci_low"] = 0.47
@@ -254,7 +251,7 @@ class GateScriptTest(unittest.TestCase):
         result = self.run_gate("check_coverage.py", base,
                                self.write("cand.json", cand))
         self.assertEqual(result.returncode, 1, result.stdout)
-        self.assertIn("legacy/scheduler_state", result.stdout)
+        self.assertIn("continuous/scheduler_state", result.stdout)
         self.assertIn("floor", result.stdout)
 
     def test_shared_prefix_coverage_floor_slip_fails(self):
@@ -277,7 +274,7 @@ class GateScriptTest(unittest.TestCase):
         # Detection at the resumed read is the wrong mechanism: the
         # scrubber must find latent faults inside the idle window.
         cand = coverage_baseline()
-        cell = cand["results"][self.protected_index(cand, "legacy",
+        cell = cand["results"][self.protected_index(cand, "continuous",
                                                     "latent_kv")]
         cell["scrub_found"] = 100  # 960 detected, scrubber saw 100.
         base = self.write("base.json", cand)

@@ -378,7 +378,6 @@ TEST(ObsServe, ThreadedContinuousSchedulerTracesBalancedSpans) {
   config.model = small_model();
   config.software_checker = CheckerConfig{1e-6};
   config.max_sessions = 4;
-  config.scheduler.mode = serve::SchedulerMode::kContinuous;
   config.scheduler.page_size = 4;
   config.trace = &trace;
   config.flight = &recorder;

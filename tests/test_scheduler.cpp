@@ -1,16 +1,14 @@
 // End-to-end tests of the continuous-batching scheduler: token parity with
-// the legacy per-session engine, >= 8-way concurrent decode with batch
+// TransformerModel::generate, >= 8-way concurrent decode with batch
 // occupancy, preemption under page pressure with lossless resume, the
 // KV-page double-fault drill (page data + page-table entry corrupted in the
-// same tick), emulated step faults, the SessionTable starvation guard, and
-// generate-mode load-driver reconciliation in continuous mode.
+// same tick), emulated step faults and the SessionTable starvation guard.
 #include <gtest/gtest.h>
 
 #include <future>
 #include <utility>
 #include <vector>
 
-#include "serve/load_driver.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
@@ -39,7 +37,6 @@ ServerConfig continuous_config(std::size_t max_sessions = 8,
   config.model = small_model();
   config.software_checker = CheckerConfig{1e-6};
   config.max_sessions = max_sessions;
-  config.scheduler.mode = SchedulerMode::kContinuous;
   config.scheduler.page_size = page_size;
   config.scheduler.num_pages = num_pages;
   return config;
@@ -66,33 +63,41 @@ std::size_t count_kind(const ServeResponse& response, OpKind kind) {
   return total;
 }
 
-TEST(Scheduler, ContinuousSessionMatchesLegacyTokens) {
-  ServerConfig legacy = continuous_config();
-  legacy.scheduler.mode = SchedulerMode::kLegacy;
-  std::vector<std::size_t> legacy_tokens;
-  {
-    InferenceServer server(legacy);
-    legacy_tokens = server.submit(make_generation_request(5)).get().tokens;
-  }
-
-  InferenceServer server(continuous_config());
-  EXPECT_EQ(server.scheduler_mode(), SchedulerMode::kContinuous);
+TEST(Scheduler, ContinuousSessionMatchesModelGenerate) {
+  const ServerConfig config = continuous_config();
+  InferenceServer server(config);
   const ServeResponse response =
       server.submit(make_generation_request(5)).get();
+
+  // The golden oracle: the model's own contiguous-cache generate loop.
+  const GuardedExecutor exec(config.software_checker, config.recovery);
+  KvCache cache = server.model().make_cache();
+  const GenerationResult golden = server.model().generate(
+      test_prompt(), 5, AttentionBackend::kFlashAbft, exec, cache);
   EXPECT_EQ(response.path, ServePath::kGuardedClean);
   EXPECT_TRUE(response.checksum_clean);
-  EXPECT_EQ(response.tokens, legacy_tokens);
+  EXPECT_EQ(response.tokens, golden.tokens);
   EXPECT_EQ(response.decode_steps, 4u);
   EXPECT_GT(response.ttft_us, 0.0);
+  EXPECT_GE(response.total_us, response.ttft_us);
   EXPECT_EQ(response.preemptions, 0u);
-  // Each decode step verifies every layer's pages + mapping (kKvPage), and
-  // the legacy kKvCache op never appears on this path.
+  EXPECT_EQ(response.alarm_events, 0u);
+  // Each decode step verifies every layer's pages + mapping (kKvPage); the
+  // contiguous cache's kKvCache op never appears in served traffic.
   EXPECT_EQ(count_kind(response, OpKind::kKvPage),
             4u * small_model().num_layers);
   EXPECT_EQ(count_kind(response, OpKind::kKvCache), 0u);
 
   const TelemetrySnapshot s = server.telemetry().snapshot();
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.sessions_started, 1u);
   EXPECT_EQ(s.sessions_completed, 1u);
+  EXPECT_EQ(s.tokens_generated, 5u);
+  EXPECT_EQ(s.decode_steps, 4u);
+  EXPECT_GT(s.ttft_p50_us, 0.0);
+  EXPECT_EQ(s.per_kind[std::size_t(OpKind::kKvPage)].checks,
+            4u * small_model().num_layers);
+  EXPECT_EQ(server.active_sessions(), 0u);
   EXPECT_GT(s.scheduler_ticks, 0u);
   EXPECT_EQ(s.scheduled_steps, 4u);
   EXPECT_EQ(s.pages_total, server.scheduler().pool_pages());
@@ -247,32 +252,43 @@ TEST(Scheduler, TransientStepFaultRecoversInContinuousMode) {
   EXPECT_EQ(response.path, ServePath::kGuardedRecovered);
   EXPECT_TRUE(response.checksum_clean);
   EXPECT_EQ(response.tokens, golden.tokens);
+  const TelemetrySnapshot s = server.telemetry().snapshot();
+  EXPECT_EQ(s.per_kind[std::size_t(OpKind::kFfn)].alarms, 1u);
+  EXPECT_EQ(s.per_kind[std::size_t(OpKind::kFfn)].recovered, 1u);
 }
 
 TEST(Scheduler, PersistentStepFaultEscalatesToVerifiedFallback) {
   ServerConfig config = continuous_config();
   config.recovery.max_retries = 1;
-  InferenceServer server(config);
-  const ServeResponse golden =
-      server.submit(make_generation_request(3)).get();
+  // A decode-step op (layer 0's Q projection) and a prefill op (the tied
+  // LM head, global index num_layers * 4) — both batched and per-session
+  // paths must serve the escalated op from the verified fallback.
+  const std::size_t lm_head = small_model().num_layers * 4;
+  for (const auto& [step, op_index] :
+       {std::pair<std::size_t, std::size_t>{1, 0}, {0, lm_head}}) {
+    InferenceServer server(config);
+    const ServeResponse golden =
+        server.submit(make_generation_request(3)).get();
 
-  ServeRequest faulty = make_generation_request(3);
-  GenerationStepFault fault;
-  fault.step = 1;
-  fault.fault.kind = OpKind::kProjection;
-  fault.fault.op_index = 0;  // layer 0's Q projection of the decode step.
-  fault.fault.faulty_attempts = config.recovery.max_retries + 1;
-  std::get<GenerationWork>(faulty.work).faults = {fault};
-  const ServeResponse response = server.submit(std::move(faulty)).get();
-  EXPECT_EQ(response.path, ServePath::kFallbackReference);
-  EXPECT_TRUE(response.checksum_clean);
-  EXPECT_EQ(response.fallback_ops, 1u);
-  EXPECT_EQ(response.tokens, golden.tokens);
-  EXPECT_EQ(server.telemetry()
-                .snapshot()
-                .per_kind[std::size_t(OpKind::kReferenceFallback)]
-                .checks,
-            1u);
+    ServeRequest faulty = make_generation_request(3);
+    GenerationStepFault fault;
+    fault.step = step;
+    fault.fault.kind = OpKind::kProjection;
+    fault.fault.op_index = op_index;
+    fault.fault.faulty_attempts = config.recovery.max_retries + 1;
+    std::get<GenerationWork>(faulty.work).faults = {fault};
+    const ServeResponse response = server.submit(std::move(faulty)).get();
+    EXPECT_EQ(response.path, ServePath::kFallbackReference) << step;
+    EXPECT_TRUE(response.checksum_clean);  // fallback verified clean.
+    EXPECT_EQ(response.fallback_ops, 1u);
+    EXPECT_EQ(response.tokens, golden.tokens);
+    const TelemetrySnapshot s = server.telemetry().snapshot();
+    EXPECT_EQ(s.per_kind[std::size_t(OpKind::kProjection)].escalated, 1u);
+    EXPECT_EQ(s.per_kind[std::size_t(OpKind::kReferenceFallback)].checks,
+              1u);
+    EXPECT_EQ(s.escalations, 1u);
+    EXPECT_EQ(s.checksum_dirty, 0u);
+  }
 }
 
 TEST(Scheduler, ParallelSweepMatchesSingleThreadedTokens) {
@@ -379,34 +395,6 @@ TEST(SessionTableStarvation, FreshAdmissionCannotOvertakeParkedSessions) {
   ASSERT_NE(promoted, nullptr);
   EXPECT_EQ(promoted->id, 3u);
   EXPECT_EQ(table.try_activate_parked(), nullptr);  // slot now occupied.
-}
-
-TEST(Scheduler, GenerateModeLoadDriverReconcilesInContinuousMode) {
-  ServerConfig config = continuous_config(/*max_sessions=*/8);
-  InferenceServer server(config);
-  LoadDriverConfig load;
-  load.mode = RequestMode::kGeneration;
-  load.total_requests = 12;
-  load.concurrency = 8;
-  load.prompt_len = 8;
-  load.max_new_tokens = 4;
-  load.seed = 23;
-  load.inject.fault_probability = 0.5;
-  load.inject.persistent_fraction = 0.25;
-  load.inject.kv_corruption_fraction = 0.5;
-  const LoadReport report = run_load(server, load);
-
-  EXPECT_EQ(report.completed, 12u);
-  EXPECT_EQ(report.clean_responses, 12u);
-  EXPECT_EQ(report.tokens_generated, 12u * 4u);
-  EXPECT_EQ(report.guarded_clean + report.recovered + report.fallback,
-            report.completed);
-  const std::size_t injected =
-      report.transient_injected + report.persistent_injected;
-  EXPECT_GT(injected, 0u);
-  EXPECT_LE(report.recovered + report.fallback, injected);
-  EXPECT_EQ(report.telemetry.checksum_dirty, 0u);
-  EXPECT_GT(report.telemetry.scheduler_ticks, 0u);
 }
 
 }  // namespace

@@ -342,7 +342,6 @@ TEST(ScrubRace, SchedulerThreadAndScrubThreadServeCleanSessions) {
   config.model.max_seq_len = 32;
   config.software_checker = CheckerConfig{1e-6};
   config.max_sessions = 4;
-  config.scheduler.mode = serve::SchedulerMode::kContinuous;
   config.scheduler.page_size = 4;
   config.scheduler.scrub = true;
   config.scheduler.scrub_interval = std::chrono::microseconds(50);
@@ -389,7 +388,7 @@ serve::GenerationWork latent_work(std::size_t seed_token) {
   return work;
 }
 
-TEST(ScrubDeterminism, LatentTrialsReplayTickForTickOnBothEngines) {
+TEST(ScrubDeterminism, LatentTrialsReplayTickForTick) {
   TransformerConfig model_cfg;
   model_cfg.vocab_size = 48;
   model_cfg.model_dim = 16;
@@ -400,53 +399,45 @@ TEST(ScrubDeterminism, LatentTrialsReplayTickForTickOnBothEngines) {
   model_cfg.max_seq_len = 24;
   const TransformerModel model(model_cfg, /*seed=*/42);
 
-  for (const serve::SchedulerMode mode :
-       {serve::SchedulerMode::kLegacy, serve::SchedulerMode::kContinuous}) {
-    std::vector<serve::GenerationWork> works = {latent_work(5),
-                                                latent_work(9)};
-    serve::KvCorruption upset;
-    upset.step = 3;
-    upset.layer = 1;
-    upset.value_side = false;
-    upset.row = 2;
-    upset.col = 1;
-    upset.delta = 0.5;
-    upset.latent = true;
-    works[0].kv_corruptions.push_back(upset);
-    works[0].latent_idle_ticks = 3;
+  std::vector<serve::GenerationWork> works = {latent_work(5), latent_work(9)};
+  serve::KvCorruption upset;
+  upset.step = 3;
+  upset.layer = 1;
+  upset.value_side = false;
+  upset.row = 2;
+  upset.col = 1;
+  upset.delta = 0.5;
+  upset.latent = true;
+  works[0].kv_corruptions.push_back(upset);
+  works[0].latent_idle_ticks = 3;
 
-    serve::StepperConfig cfg;
-    cfg.mode = mode;
-    cfg.page_size = 4;
+  serve::StepperConfig cfg;
+  cfg.page_size = 4;
 
-    const auto first = serve::run_stepped(model, works, cfg);
-    const auto second = serve::run_stepped(model, works, cfg);
-    ASSERT_EQ(first.size(), 2u);
-    // The scrubber found and healed the dormant upset before any decode
-    // read, so the session completes with golden-identical tokens...
-    EXPECT_FALSE(first[0].failed) << first[0].error;
-    EXPECT_GT(first[0].scrub_faults_found, 0u)
-        << serve::scheduler_mode_name(mode);
-    EXPECT_GT(first[0].scrub_repairs, 0u);
-    EXPECT_EQ(first[1].scrub_faults_found, 0u);  // untouched neighbor.
-    // ...and identically on every replay (the campaign's contract).
-    for (std::size_t i = 0; i < first.size(); ++i) {
-      EXPECT_EQ(first[i].tokens, second[i].tokens);
-      EXPECT_EQ(first[i].final_logits, second[i].final_logits);
-      EXPECT_EQ(first[i].scrub_faults_found, second[i].scrub_faults_found);
-      EXPECT_EQ(first[i].scrub_repairs, second[i].scrub_repairs);
-      EXPECT_EQ(first[i].meta_verifies, second[i].meta_verifies);
-    }
-
-    // Clean works through the same engine: the tokens match the corrupted
-    // run's (the heal happened before the read), and no scrub finding.
-    std::vector<serve::GenerationWork> clean = {latent_work(5),
-                                                latent_work(9)};
-    const auto golden = serve::run_stepped(model, clean, cfg);
-    EXPECT_EQ(golden[0].tokens, first[0].tokens)
-        << serve::scheduler_mode_name(mode);
-    EXPECT_EQ(golden[0].scrub_faults_found, 0u);
+  const auto first = serve::run_stepped(model, works, cfg);
+  const auto second = serve::run_stepped(model, works, cfg);
+  ASSERT_EQ(first.size(), 2u);
+  // The scrubber found and healed the dormant upset before any decode
+  // read, so the session completes with golden-identical tokens...
+  EXPECT_FALSE(first[0].failed) << first[0].error;
+  EXPECT_GT(first[0].scrub_faults_found, 0u);
+  EXPECT_GT(first[0].scrub_repairs, 0u);
+  EXPECT_EQ(first[1].scrub_faults_found, 0u);  // untouched neighbor.
+  // ...and identically on every replay (the campaign's contract).
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].tokens, second[i].tokens);
+    EXPECT_EQ(first[i].final_logits, second[i].final_logits);
+    EXPECT_EQ(first[i].scrub_faults_found, second[i].scrub_faults_found);
+    EXPECT_EQ(first[i].scrub_repairs, second[i].scrub_repairs);
+    EXPECT_EQ(first[i].meta_verifies, second[i].meta_verifies);
   }
+
+  // Clean works through the same engine: the tokens match the corrupted
+  // run's (the heal happened before the read), and no scrub finding.
+  std::vector<serve::GenerationWork> clean = {latent_work(5), latent_work(9)};
+  const auto golden = serve::run_stepped(model, clean, cfg);
+  EXPECT_EQ(golden[0].tokens, first[0].tokens);
+  EXPECT_EQ(golden[0].scrub_faults_found, 0u);
 }
 
 }  // namespace
