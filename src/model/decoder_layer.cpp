@@ -41,14 +41,16 @@ void DecoderLayer::corrupt_ffn_weight(std::size_t which, std::size_t row,
   // ffn*_checksums_ deliberately stay stale (see header).
 }
 
-double DecoderLayer::weight_staleness() const {
-  double worst = self_attention_.weight_staleness();
+WeightPart DecoderLayer::weight_part(std::size_t part) const {
+  FLASHABFT_ENSURE_MSG(part < weight_part_count(),
+                       "weight part " << part << " out of range");
+  if (part < 4) return self_attention_.projection_part(part);
   if (cross_attention_) {
-    worst = std::max(worst, cross_attention_->weight_staleness());
+    if (part < 8) return cross_attention_->projection_part(part - 4);
+    part -= 4;
   }
-  worst = std::max(worst, ffn1_.checksum_staleness(ffn1_checksums_));
-  worst = std::max(worst, ffn2_.checksum_staleness(ffn2_checksums_));
-  return worst;
+  return part == 4 ? WeightPart{ffn1_, ffn1_checksums_}
+                   : WeightPart{ffn2_, ffn2_checksums_};
 }
 
 MatrixD DecoderLayer::ffn_block(const MatrixD& h,

@@ -124,10 +124,13 @@ class DecoderLayer {
   void corrupt_ffn_weight(std::size_t which, std::size_t row, std::size_t col,
                           double delta);
 
-  /// Worst storage-integrity staleness over this layer's cached weight
-  /// checksums: self-attention (and cross-attention when present)
-  /// projections plus both FFN products. 0.0 iff nothing drifted.
-  [[nodiscard]] double weight_staleness() const;
+  /// This layer's weight matrices in scrub order: the self-attention
+  /// projections {Q, K, V, output}, the cross-attention's when present, then
+  /// both FFN products — each with its cached checksums.
+  [[nodiscard]] std::size_t weight_part_count() const {
+    return cross_attention_ ? 10 : 6;
+  }
+  [[nodiscard]] WeightPart weight_part(std::size_t part) const;
 
  private:
   /// FFN + Add & Norm shared by every forward; `ffn_base` offsets the two

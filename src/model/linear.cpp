@@ -120,13 +120,7 @@ MatrixD guarded_linear(const Linear& layer, const MatrixD& in, OpKind kind,
 
 Linear::InputChecksums Linear::input_checksums() const {
   InputChecksums sums;
-  sums.row_w.resize(weight_.rows());
-  for (std::size_t k = 0; k < weight_.rows(); ++k) {
-    const double* w_row = weight_.row(k).data();
-    double sum = 0.0;
-    for (std::size_t j = 0; j < weight_.cols(); ++j) sum += w_row[j];
-    sums.row_w[k] = sum;
-  }
+  sums.row_w = row_sums(weight_);
   for (const double b : bias_) sums.bias_sum += b;
   return sums;
 }

@@ -87,6 +87,19 @@ class Linear {
   std::vector<double> bias_;  // out
 };
 
+/// One independently verifiable weight matrix of a frozen model: a Linear
+/// and the input-side checksums its owner cached at construction — the
+/// unit the weight scrub walks one slice at a time.
+struct WeightPart {
+  const Linear& linear;
+  const Linear::InputChecksums& cached;
+
+  /// See Linear::checksum_staleness; 0.0 iff this matrix did not drift.
+  [[nodiscard]] double staleness() const {
+    return linear.checksum_staleness(cached);
+  }
+};
+
 /// Runs one Linear as a guarded op of `kind` — checked, retried on alarm,
 /// recomputed as its own fallback on escalation — appending the report(s)
 /// to `report` and returning the accepted output. Guarded attempts run on

@@ -46,14 +46,10 @@ void MultiHeadAttention::corrupt_projection_weight(std::size_t slot,
   // projection_checksums_ deliberately stays stale (see header).
 }
 
-double MultiHeadAttention::weight_staleness() const {
+WeightPart MultiHeadAttention::projection_part(std::size_t slot) const {
+  FLASHABFT_ENSURE_MSG(slot < 4, "projection slot " << slot << " out of range");
   const Linear* projections[4] = {&wq_, &wk_, &wv_, &wo_};
-  double worst = 0.0;
-  for (std::size_t slot = 0; slot < 4; ++slot) {
-    worst = std::max(worst, projections[slot]->checksum_staleness(
-                                projection_checksums_[slot]));
-  }
-  return worst;
+  return {*projections[slot], projection_checksums_[slot]};
 }
 
 namespace {

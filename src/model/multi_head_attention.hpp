@@ -148,10 +148,9 @@ class MultiHeadAttention {
   void corrupt_projection_weight(std::size_t slot, std::size_t row,
                                  std::size_t col, double delta);
 
-  /// Worst storage-integrity staleness over the four cached projection
-  /// checksums (see Linear::checksum_staleness) — 0.0 iff no projection
-  /// weight drifted since construction, at every storage dtype.
-  [[nodiscard]] double weight_staleness() const;
+  /// Projection `slot` {0:Q, 1:K, 2:V, 3:output} with its cached input-side
+  /// checksums — one part of the weight scrub's walk.
+  [[nodiscard]] WeightPart projection_part(std::size_t slot) const;
 
  private:
   [[nodiscard]] MhaResult forward_impl(const MatrixD& x_q,

@@ -140,44 +140,91 @@ void TransformerModel::corrupt_weight(const WeightSite& site) {
   }
 }
 
-double TransformerModel::weight_staleness() const {
-  // Tied head: recompute colsum(E) over the stored table — bit-identical
-  // to the construction-time pass when nothing drifted.
-  const std::vector<double> live = column_sums(embedding_.table());
-  double worst = 0.0;
-  const std::size_t n = std::min(live.size(), lm_colsum_.size());
-  for (std::size_t j = 0; j < n; ++j) {
-    worst = std::max(worst, std::abs(live[j] - lm_colsum_[j]));
+std::size_t TransformerModel::weight_part_count() const {
+  // The tied embedding / LM head, then every layer's (identical) parts.
+  return 1 + layers_.size() * layers_.front().weight_part_count();
+}
+
+WeightPart TransformerModel::layer_weight_part(std::size_t part) const {
+  FLASHABFT_ENSURE_MSG(part > 0 && part < weight_part_count(),
+                       "weight part " << part << " out of range");
+  const std::size_t per_layer = layers_.front().weight_part_count();
+  return layers_[(part - 1) / per_layer].weight_part((part - 1) % per_layer);
+}
+
+double TransformerModel::weight_part_staleness(std::size_t part) const {
+  if (part == 0) {
+    // Tied head: recompute colsum(E) over the stored table — bit-identical
+    // to the construction-time pass when nothing drifted.
+    const std::vector<double> live = column_sums(embedding_.table());
+    double worst = 0.0;
+    const std::size_t n = std::min(live.size(), lm_colsum_.size());
+    for (std::size_t j = 0; j < n; ++j) {
+      worst = std::max(worst, std::abs(live[j] - lm_colsum_[j]));
+    }
+    return worst;
   }
-  for (const DecoderLayer& layer : layers_) {
-    worst = std::max(worst, layer.weight_staleness());
+  return layer_weight_part(part).staleness();
+}
+
+double TransformerModel::weight_part_cost(std::size_t part) const {
+  if (part == 0) return double(cfg_.vocab_size * cfg_.model_dim);
+  return double(layer_weight_part(part).linear.weight().size());
+}
+
+double TransformerModel::weight_staleness() const {
+  double worst = 0.0;
+  for (std::size_t part = 0; part < weight_part_count(); ++part) {
+    worst = std::max(worst, weight_part_staleness(part));
   }
   return worst;
 }
 
-bool guarded_weight_verify(const TransformerModel& model, std::size_t index,
-                           const GuardedExecutor& executor,
-                           LayerReport& report) {
+namespace {
+
+/// One kControlPlane op whose check pair carries `staleness()`, so the
+/// OpReport's residual is the observed drift. Any nonzero drift alarms:
+/// verify re-runs the construction-time sums over the same stored values
+/// in the same order, so clean weights read exactly 0.0 — an ECC-style
+/// integrity check, not a rounding comparator, and the reason it needs no
+/// dtype-widened threshold.
+template <typename Staleness>
+bool guarded_staleness_verify(std::size_t index, double cost,
+                              const Staleness& staleness,
+                              const GuardedExecutor& executor,
+                              LayerReport& report) {
   GuardedOp op = executor.run(
-      OpKind::kControlPlane, index, model.weight_verify_cost(),
-      [&](std::size_t) {
+      OpKind::kControlPlane, index, cost, [&](std::size_t) {
         CheckedOp checked;
         checked.output = MatrixD(1, 1);
-        const double staleness = model.weight_staleness();
-        // Exact compare against the cached checksums; the pair carries the
-        // staleness so the OpReport's residual is the observed drift. Any
-        // nonzero drift alarms: verify re-runs the construction-time sums
-        // over the same stored values in the same order, so a clean stack
-        // reads exactly 0.0 — an ECC-style integrity check, not a rounding
-        // comparator, and the reason it needs no dtype-widened threshold.
-        checked.check = {staleness, 0.0};
-        checked.self_verdict = staleness > 0.0 ? CheckVerdict::kAlarm
-                                               : CheckVerdict::kPass;
+        const double drift = staleness();
+        checked.check = {drift, 0.0};
+        checked.self_verdict =
+            drift > 0.0 ? CheckVerdict::kAlarm : CheckVerdict::kPass;
         return checked;
       });
   const bool clean = op.report.verdict == CheckVerdict::kPass;
   report.add(std::move(op));
   return clean;
+}
+
+}  // namespace
+
+bool guarded_weight_verify(const TransformerModel& model, std::size_t index,
+                           const GuardedExecutor& executor,
+                           LayerReport& report) {
+  return guarded_staleness_verify(
+      index, model.weight_verify_cost(),
+      [&] { return model.weight_staleness(); }, executor, report);
+}
+
+bool guarded_weight_part_verify(const TransformerModel& model,
+                                std::size_t part, std::size_t index,
+                                const GuardedExecutor& executor,
+                                LayerReport& report) {
+  return guarded_staleness_verify(
+      index, model.weight_part_cost(part),
+      [&] { return model.weight_part_staleness(part); }, executor, report);
 }
 
 std::vector<std::size_t> TransformerModel::encode(

@@ -203,16 +203,27 @@ class TransformerModel {
   [[nodiscard]] static std::size_t argmax(const std::vector<double>& logits);
 
   /// Worst storage-integrity staleness over EVERY cached weight checksum of
-  /// the stack: the tied head's colsum(E) plus each layer's projection and
-  /// FFN rowsums. Clean weights read exactly 0.0 at every storage dtype —
-  /// both sides re-sum the same stored values in the same order — so the
-  /// weight scrub built on this never needs a precision-widened threshold;
-  /// a resident upset surfaces as its exact delta.
+  /// the stack: the max of weight_part_staleness over all parts. Clean
+  /// weights read exactly 0.0 at every storage dtype — both sides re-sum
+  /// the same stored values in the same order — so the weight scrub built
+  /// on this never needs a precision-widened threshold; a resident upset
+  /// surfaces as its exact delta.
   [[nodiscard]] double weight_staleness() const;
   /// Elements a full staleness walk re-sums (the scrub op's cost metric).
   [[nodiscard]] double weight_verify_cost() const {
     return double(weight_element_count());
   }
+
+  /// The stack's independently verifiable weight parts, in scrub order:
+  /// part 0 is the tied embedding / LM head (colsum(E)), then each layer's
+  /// matrices in DecoderLayer::weight_part order. A single corrupted
+  /// element makes exactly one part stale.
+  [[nodiscard]] std::size_t weight_part_count() const;
+  /// Staleness of one part (same exact compare as weight_staleness).
+  [[nodiscard]] double weight_part_staleness(std::size_t part) const;
+  /// Elements one part's staleness walk re-sums; the parts sum to
+  /// weight_verify_cost().
+  [[nodiscard]] double weight_part_cost(std::size_t part) const;
 
  private:
   /// Final LayerNorm + tied LM head over the last row of `h`; the logits
@@ -238,6 +249,9 @@ class TransformerModel {
   void lm_head_rows(const MatrixD& h, std::size_t first,
                     ComputeBackend engine, MatrixD& out) const;
 
+  /// Layer part `part` (>= 1) of the weight_part_* numbering.
+  [[nodiscard]] WeightPart layer_weight_part(std::size_t part) const;
+
   TransformerConfig cfg_;
   Embedding embedding_;
   std::vector<DecoderLayer> layers_;
@@ -261,5 +275,15 @@ class TransformerModel {
                                          std::size_t index,
                                          const GuardedExecutor& executor,
                                          LayerReport& report);
+
+/// The same guarded check over one weight part (TransformerModel::
+/// weight_part_staleness) — what the scrubber runs, one part per item, so
+/// no single slice carries the whole-model walk. The parts all verify
+/// fresh exactly when guarded_weight_verify does.
+[[nodiscard]] bool guarded_weight_part_verify(const TransformerModel& model,
+                                              std::size_t part,
+                                              std::size_t index,
+                                              const GuardedExecutor& executor,
+                                              LayerReport& report);
 
 }  // namespace flashabft

@@ -1,6 +1,5 @@
 #include "scrub/scrubber.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/ensure.hpp"
@@ -14,88 +13,47 @@ Scrubber::Scrubber(Provider provider, Options options)
   FLASHABFT_ENSURE_MSG(provider_, "scrubber needs an item provider");
 }
 
-Scrubber::~Scrubber() { stop(); }
-
 std::size_t Scrubber::run_tick() {
-  if (options_.guard != nullptr) {
-    std::lock_guard lock(*options_.guard);
-    return pass_locked();
+  if (walk_.empty()) {
+    walk_ = provider_();
+    cursor_ = 0;
+    if (walk_.empty()) return 0;
   }
-  return pass_locked();
-}
-
-std::size_t Scrubber::pass_locked() {
-  const std::vector<ScrubItem> items = provider_();
-  if (items.empty()) return 0;
-  obs::TraceSpan pass_span(options_.obs.trace, "scrub-pass", "scrub");
-  const std::size_t take = options_.budget == 0
-                               ? items.size()
-                               : std::min(options_.budget, items.size());
-  std::size_t found = 0, repaired = 0, dead = 0;
-  for (std::size_t i = 0; i < take; ++i) {
-    const std::size_t slot = (cursor_ + i) % items.size();
-    const ScrubItem& item = items[slot];
-    switch (item.run()) {
+  obs::TraceSpan slice_span(options_.obs.trace, "scrub-pass", "scrub");
+  std::size_t done = 0;
+  while (cursor_ < walk_.size() &&
+         (options_.budget == 0 || done < options_.budget)) {
+    const std::size_t slot = cursor_++;
+    switch (walk_[slot].run()) {
+      case ItemOutcome::kSkipped:
+        continue;
       case ItemOutcome::kClean:
         break;
       case ItemOutcome::kRepaired:
-        ++found;
-        ++repaired;
+        ++stats_.faults_found;
+        ++stats_.repairs;
         if (options_.obs.flight != nullptr) {
           options_.obs.flight->record(obs::FlightEventKind::kScrubRepair,
                                       "scrubber", "item", slot);
         }
         break;
       case ItemOutcome::kUnrepairable:
-        ++found;
-        ++dead;
+        ++stats_.faults_found;
+        ++stats_.unrepairable;
         if (options_.obs.flight != nullptr) {
           options_.obs.flight->record(obs::FlightEventKind::kEscalation,
                                       "scrubber", "unrepairable", slot);
         }
         break;
     }
+    ++done;
   }
-  cursor_ = (cursor_ + take) % items.size();
-
-  std::lock_guard stats_lock(stats_mutex_);
-  ++stats_.passes;
-  stats_.items_scrubbed += take;
-  stats_.faults_found += found;
-  stats_.repairs += repaired;
-  stats_.unrepairable += dead;
-  return take;
-}
-
-void Scrubber::start() {
-  if (thread_.joinable()) return;
-  stop_.store(false, std::memory_order_relaxed);
-  thread_ = std::thread([this] { loop(); });
-}
-
-void Scrubber::stop() {
-  stop_.store(true, std::memory_order_relaxed);
-  const bool was_running = thread_.joinable();
-  if (was_running) thread_.join();
-  // Final republish after the join: a stop racing the loop between its
-  // run_tick() and its on_pass() would otherwise leave the host's mirrored
-  // counters (and any post-run telemetry snapshot) one pass stale. Only
-  // fired when a thread was actually joined — this call owns the "paced
-  // mode is over" transition exactly once.
-  if (was_running && options_.on_pass) options_.on_pass();
-}
-
-void Scrubber::loop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    run_tick();
-    if (options_.on_pass) options_.on_pass();
-    std::this_thread::sleep_for(options_.interval);
+  stats_.items_scrubbed += done;
+  if (cursor_ == walk_.size()) {
+    ++stats_.passes;
+    walk_.clear();
   }
-}
-
-ScrubStats Scrubber::stats() const {
-  std::lock_guard lock(stats_mutex_);
-  return stats_;
+  return done;
 }
 
 }  // namespace flashabft::scrub

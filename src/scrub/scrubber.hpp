@@ -1,33 +1,27 @@
-// Background KV scrubber — find latent corruption before a read trips on it.
+// KV/weight scrubber — find latent corruption before a read trips on it.
 //
-// The KV pool, the contiguous caches and the sealed metadata records are
-// all verified *on read*: a corrupted page sits undetected until the next
+// The KV pool, the sealed metadata records and the model weights are all
+// verified *on read*: a corrupted page sits undetected until the next
 // decode step touches it. For an idle or parked session that window is
 // unbounded — exactly the latent-fault exposure disk systems close with a
-// patrol scrub. This is that scrub for the serving stack: a pacing engine
-// that walks verify-and-heal items (a session's pages per layer, its page
-// table, its sealed metadata) during tick slack, either
-//
-//   - manually (`run_tick()` — one budgeted pass on the calling thread;
-//     the deterministic stepper and the manual-mode scheduler drive it
-//     this way, so campaign trials replay tick-for-tick), or
-//   - on a rate-limited background thread (`start()` — one pass per
-//     interval, serialized against the host through `Options::guard`).
+// patrol scrub. This is that scrub for the serving stack: a walk over
+// verify-and-heal items (one weight matrix, a session's pages per layer,
+// its sealed metadata, an idle shared-prefix page), advanced one budgeted
+// slice per `run_tick()` on the calling thread. The continuous scheduler
+// runs one slice at the end of every tick and finishes the walk in its idle
+// waits, so scrub work never races a tick and identical inputs replay
+// tick-for-tick (the fault campaign's contract).
 //
 // The scrubber is deliberately generic: the host supplies a provider that
-// snapshots the current walk list each pass, and every item is a closure
-// that verifies, heals and attributes its own outcome (the scheduler's
-// items run guarded_page_verify / guarded_meta_verify against the owning
-// session's accounting). The scrubber itself only paces, cursors and
-// counts.
+// snapshots the walk list at the start of each walk, and every item is a
+// closure that verifies, heals and attributes its own outcome (the
+// scheduler's items run guarded_page_verify / guarded_meta_verify /
+// guarded_weight_part_verify against the owning session's accounting). The
+// scrubber itself only slices, cursors and counts.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "obs/hooks.hpp"
@@ -39,17 +33,19 @@ enum class ItemOutcome {
   kClean,         ///< checksums verified on the first look.
   kRepaired,      ///< latent fault found and healed from a mirror.
   kUnrepairable,  ///< fault found, heal failed (double fault) — escalated.
+  kSkipped,       ///< target gone or already verified this tick; free.
 };
 
 /// One unit of scrub work. The closure owns verification, healing and
-/// attribution; it must be safe to run under the host's guard mutex.
+/// attribution. A walk spans several slices, so it must re-resolve its
+/// target when it runs (and return kSkipped if the target is gone).
 struct ScrubItem {
   std::function<ItemOutcome()> run;
 };
 
 /// Monotonic scrub counters (telemetry's view).
 struct ScrubStats {
-  std::uint64_t passes = 0;          ///< run_tick calls that saw items.
+  std::uint64_t passes = 0;          ///< completed walks.
   std::uint64_t items_scrubbed = 0;  ///< verify-and-heal items executed.
   std::uint64_t faults_found = 0;    ///< items that alarmed (latent faults).
   std::uint64_t repairs = 0;         ///< faults healed from a mirror.
@@ -58,65 +54,37 @@ struct ScrubStats {
 
 class Scrubber {
  public:
-  /// Snapshots the current walk list. Called at the start of every pass
-  /// (under the guard mutex, when one is configured) so items never
-  /// outlive the state they capture.
+  /// Snapshots the walk list; called when a slice starts a new walk.
   using Provider = std::function<std::vector<ScrubItem>()>;
 
   struct Options {
-    /// Items verified per pass; 0 = the whole walk list every pass.
+    /// Items verified per slice (skipped items are free); 0 = the whole
+    /// walk every slice.
     std::size_t budget = 0;
-    /// Thread mode: pacing between passes.
-    std::chrono::microseconds interval{200};
-    /// Serializes passes against the host's own mutations (the continuous
-    /// scheduler hands its tick mutex here). May be null when the host
-    /// drives run_tick() single-threaded.
-    std::mutex* guard = nullptr;
-    /// Thread mode: invoked after every paced pass, outside the guard, so
-    /// the host can republish counters even while it is otherwise idle
-    /// (an idle scheduler runs no ticks, but passes keep accumulating).
-    /// `stop()` invokes it one final time after joining the thread, so a
-    /// post-stop snapshot always reflects the last pass (not one tick
-    /// stale).
-    std::function<void()> on_pass;
-    /// Observability taps: each pass runs under a trace span; repairs and
+    /// Observability taps: each slice runs under a trace span; repairs and
     /// unrepairable finds go to the flight recorder. All-null = off.
     obs::ObsHooks obs{};
   };
 
   Scrubber(Provider provider, Options options);
-  ~Scrubber();
 
-  Scrubber(const Scrubber&) = delete;
-  Scrubber& operator=(const Scrubber&) = delete;
-
-  /// One budgeted pass over the provider's current items, resuming from
-  /// the rotating cursor so successive passes cover the full walk even
-  /// under a small budget. Returns the number of items scrubbed.
+  /// One budgeted slice of the current walk (starting a new one when none
+  /// is in progress). Returns the number of items scrubbed.
   std::size_t run_tick();
 
-  /// Spawns the rate-limited background thread (idempotent).
-  void start();
-  /// Stops and joins the background thread (idempotent; the destructor
-  /// calls it).
-  void stop();
+  /// True while a walk is part-way done: the host's idle loop keeps
+  /// slicing until this turns false.
+  [[nodiscard]] bool mid_walk() const { return !walk_.empty(); }
 
-  [[nodiscard]] ScrubStats stats() const;
+  [[nodiscard]] const ScrubStats& stats() const { return stats_; }
 
  private:
-  void loop();
-  std::size_t pass_locked();
-
   Provider provider_;
   Options options_;
 
-  std::size_t cursor_ = 0;  ///< rotating walk position across passes.
-
-  mutable std::mutex stats_mutex_;
-  ScrubStats stats_;  ///< guarded by stats_mutex_.
-
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
+  std::vector<ScrubItem> walk_;  ///< the current walk; empty between walks.
+  std::size_t cursor_ = 0;       ///< next item of walk_.
+  ScrubStats stats_;
 };
 
 }  // namespace flashabft::scrub

@@ -121,7 +121,7 @@ struct KvCorruption {
   bool checksum_state = false;
   /// Latent-fault trial: the corruption lands while the session then sits
   /// *idle* for `GenerationWork::latent_idle_ticks` ticks before its next
-  /// decode read. The exposure window belongs to the background scrubber,
+  /// decode read. The exposure window belongs to the scrubber,
   /// which should find and heal the fault before the read ever sees it.
   bool latent = false;
   /// Prefix caching only: land the upset inside the session's

@@ -62,24 +62,12 @@ ContinuousScheduler::ContinuousScheduler(
   if (cfg_.scrub) {
     scrub::Scrubber::Options scrub_options;
     scrub_options.budget = cfg_.scrub_budget;
-    scrub_options.interval = cfg_.scrub_interval;
-    // Manual mode drives passes inline from tick() on one thread; only
-    // thread mode needs the pass-vs-tick serialization.
-    scrub_options.guard = cfg_.manual ? nullptr : &scrub_mutex_;
-    // The scheduler publishes scrub counters at tick boundaries, but the
-    // paced thread keeps scrubbing (idle shared-prefix pages included)
-    // after the last session drains and ticks stop — republish per pass
-    // so telemetry tracks those idle-window passes too.
-    scrub_options.on_pass = [this] { publish_scrub(); };
     scrub_options.obs.trace = cfg_.trace;
     scrub_options.obs.flight = cfg_.flight;
     scrubber_ = std::make_unique<scrub::Scrubber>(
         [this] { return scrub_items(); }, scrub_options);
   }
-  if (!cfg_.manual) {
-    thread_ = std::thread([this] { loop(); });
-    if (scrubber_ != nullptr) scrubber_->start();
-  }
+  if (!cfg_.manual) thread_ = std::thread([this] { loop(); });
 }
 
 ContinuousScheduler::~ContinuousScheduler() { shutdown(); }
@@ -116,10 +104,6 @@ void ContinuousScheduler::shutdown() {
   } else if (thread_.joinable()) {
     thread_.join();
   }
-  if (scrubber_ != nullptr) {
-    scrubber_->stop();
-    publish_scrub();
-  }
 }
 
 bool ContinuousScheduler::run_tick() {
@@ -151,6 +135,10 @@ bool ContinuousScheduler::run_tick() {
   }
 
   std::lock_guard lock(mutex_);
+  return has_work();
+}
+
+bool ContinuousScheduler::has_work() const {
   return !ready_.empty() || !waiting_.empty() || !running_.empty() ||
          sessions_.parked() > 0;
 }
@@ -183,21 +171,25 @@ void ContinuousScheduler::abort_all(const std::string& reason) {
 void ContinuousScheduler::loop() {
   while (true) {
     std::vector<GenerationSession*> incoming;
+    bool idle = false;
     {
       std::unique_lock lock(mutex_);
+      // With no work left, a walk in progress is finished one slice per
+      // iteration (so an arriving session waits at most one slice); once
+      // it completes the scheduler sleeps until woken.
       wake_.wait(lock, [&] {
-        return stop_ || !ready_.empty() || !waiting_.empty() ||
-               !running_.empty() || sessions_.parked() > 0;
+        return stop_ || has_work() ||
+               (scrubber_ != nullptr && scrubber_->mid_walk());
       });
-      const bool drained = ready_.empty() && waiting_.empty() &&
-                           running_.empty() && sessions_.parked() == 0;
-      if (stop_ && drained) return;
+      idle = !has_work();
+      if (stop_ && idle) return;
       incoming.swap(ready_);
     }
-    // The scrub thread holds the same mutex across each pass, so session
-    // state is only ever touched by one of tick/scrub at a time.
-    std::lock_guard scrub_lock(scrub_mutex_);
-    tick(std::move(incoming));
+    if (idle) {
+      scrub_slice();
+    } else {
+      tick(std::move(incoming));
+    }
   }
 }
 
@@ -219,6 +211,7 @@ void ContinuousScheduler::insert_waiting(GenerationSession* session) {
 
 void ContinuousScheduler::tick(std::vector<GenerationSession*> incoming) {
   obs::TraceSpan tick_span(cfg_.trace, "tick", "sched");
+  swept_.clear();
   // Parked admissions first: the table promotes oldest-first, and stamping
   // orders here keeps FIFO age consistent with admission order.
   while (GenerationSession* parked = sessions_.try_activate_parked()) {
@@ -244,13 +237,7 @@ void ContinuousScheduler::tick(std::vector<GenerationSession*> incoming) {
     insert_waiting(parked);
   }
   publish_page_usage();
-  // Tick slack: manual mode runs one deterministic scrub pass inline (the
-  // thread mode's scrub thread paces itself); either way the counters are
-  // published while they are fresh.
-  if (scrubber_ != nullptr) {
-    if (cfg_.manual) scrubber_->run_tick();
-    publish_scrub();
-  }
+  scrub_slice();
 }
 
 void ContinuousScheduler::admit_waiting() {
@@ -671,6 +658,11 @@ void ContinuousScheduler::decode_tick() {
     }
   }
 
+  // The sweep verified every advancing session's pages, page tables and
+  // (just before it) sealed metadata: this tick's scrub slice skips them.
+  for (const GenerationSession* session : advancing) {
+    swept_.push_back(session->sched_order);
+  }
   const double share_us =
       to_us(Clock::now() - start) / double(advancing.size());
   telemetry_.on_scheduler_tick(advancing.size());
@@ -760,65 +752,65 @@ void ContinuousScheduler::publish_page_usage() {
 
 std::vector<scrub::ScrubItem> ContinuousScheduler::scrub_items() {
   std::vector<scrub::ScrubItem> items;
-  items.reserve(running_.size() * (1 + cfg_.page_size));
-  const auto outcome_of = [](const OpReport& op) {
-    if (op.recovery == RecoveryStatus::kCleanFirstTry) {
+  items.reserve(model_.weight_part_count() +
+                running_.size() * (1 + model_.config().num_layers) +
+                pool_.num_pages());
+  // The shared model weights, one matrix per item so no slice carries the
+  // whole-model walk. Storage corruption of a parameter is visible to
+  // every running session, so a stale checksum marks them all — and
+  // because the compare is bit-exact at every dtype, weight detection does
+  // not degrade under low-precision storage the way the
+  // quantization-widened arithmetic thresholds do.
+  for (std::size_t part = 0; part < model_.weight_part_count(); ++part) {
+    items.push_back({[this, part] {
+      LayerReport report;
+      if (guarded_weight_part_verify(model_, part, /*index=*/0,
+                                     control_executor_, report)) {
+        return scrub::ItemOutcome::kClean;
+      }
+      for (GenerationSession* session : running_) {
+        ++session->scrub_faults_found;
+        LayerReport copy;
+        for (const OpReport& op : report.ops) copy.ops.push_back(op);
+        absorb_control(*session, std::move(copy));
+      }
+      return scrub::ItemOutcome::kUnrepairable;
+    }});
+  }
+  // A session item's finding goes to its session's accounting.
+  const auto settle = [this](GenerationSession& session, LayerReport report) {
+    const RecoveryStatus recovery = report.ops.front().recovery;
+    if (recovery == RecoveryStatus::kCleanFirstTry) {
       return scrub::ItemOutcome::kClean;
     }
-    return op.recovery == RecoveryStatus::kRecovered
+    ++session.scrub_faults_found;
+    if (recovery == RecoveryStatus::kRecovered) ++session.scrub_repairs;
+    absorb_control(session, std::move(report));
+    return recovery == RecoveryStatus::kRecovered
                ? scrub::ItemOutcome::kRepaired
                : scrub::ItemOutcome::kUnrepairable;
   };
-  // The shared model weights: one staleness walk per pass. Storage
-  // corruption of a parameter is visible to every running session, so a
-  // stale checksum marks them all — and because the compare is bit-exact
-  // at every dtype, weight detection does not degrade under low-precision
-  // storage the way the quantization-widened arithmetic thresholds do.
-  items.push_back({[this] {
-    LayerReport report;
-    const bool fresh =
-        guarded_weight_verify(model_, /*index=*/0, control_executor_, report);
-    if (fresh) return scrub::ItemOutcome::kClean;
-    for (GenerationSession* session : running_) {
-      ++session->scrub_faults_found;
-      LayerReport copy;
-      for (const OpReport& op : report.ops) copy.ops.push_back(op);
-      absorb_control(*session, std::move(copy));
-    }
-    return scrub::ItemOutcome::kUnrepairable;
-  }});
-  for (GenerationSession* session : running_) {
+  for (const GenerationSession* session : running_) {
+    const std::uint64_t order = session->sched_order;
     // The sealed metadata record.
-    items.push_back({[this, session, outcome_of] {
+    items.push_back({[this, order, settle] {
+      GenerationSession* target = scrub_target(order);
+      if (target == nullptr) return scrub::ItemOutcome::kSkipped;
       LayerReport report;
-      (void)guarded_meta_verify(session->meta, /*index=*/0, control_executor_,
+      (void)guarded_meta_verify(target->meta, /*index=*/0, control_executor_,
                                 report);
-      const scrub::ItemOutcome outcome = outcome_of(report.ops.front());
-      if (outcome != scrub::ItemOutcome::kClean) {
-        ++session->scrub_faults_found;
-        if (outcome == scrub::ItemOutcome::kRepaired) {
-          ++session->scrub_repairs;
-        }
-        absorb_control(*session, std::move(report));
-      }
-      return outcome;
+      return settle(*target, std::move(report));
     }});
     // Every layer's pages and page table.
     for (std::size_t layer = 0; layer < session->paged->num_layers();
          ++layer) {
-      items.push_back({[this, session, layer, outcome_of] {
+      items.push_back({[this, order, layer, settle] {
+        GenerationSession* target = scrub_target(order);
+        if (target == nullptr) return scrub::ItemOutcome::kSkipped;
         LayerReport report;
-        (void)guarded_page_verify(pool_, *session->paged, layer,
+        (void)guarded_page_verify(pool_, *target->paged, layer,
                                   /*index=*/layer, control_executor_, report);
-        const scrub::ItemOutcome outcome = outcome_of(report.ops.front());
-        if (outcome != scrub::ItemOutcome::kClean) {
-          ++session->scrub_faults_found;
-          if (outcome == scrub::ItemOutcome::kRepaired) {
-            ++session->scrub_repairs;
-          }
-          absorb_control(*session, std::move(report));
-        }
-        return outcome;
+        return settle(*target, std::move(report));
       }});
     }
   }
@@ -835,8 +827,21 @@ std::vector<scrub::ScrubItem> ContinuousScheduler::scrub_items() {
   return items;
 }
 
-void ContinuousScheduler::publish_scrub() {
-  const scrub::ScrubStats stats = scrubber_->stats();
+GenerationSession* ContinuousScheduler::scrub_target(
+    std::uint64_t order) const {
+  if (std::find(swept_.begin(), swept_.end(), order) != swept_.end()) {
+    return nullptr;
+  }
+  const auto it = std::find_if(
+      running_.begin(), running_.end(),
+      [order](const GenerationSession* s) { return s->sched_order == order; });
+  return it == running_.end() ? nullptr : *it;
+}
+
+void ContinuousScheduler::scrub_slice() {
+  if (scrubber_ == nullptr) return;
+  scrubber_->run_tick();
+  const scrub::ScrubStats& stats = scrubber_->stats();
   telemetry_.set_scrub(stats.passes, stats.items_scrubbed, stats.faults_found,
                        stats.repairs, stats.unrepairable);
 }

@@ -23,12 +23,15 @@
 // recovery) on every cached read. Op-level diversity comes from the
 // scalar reference fallback every escalated op is served by.
 //
+// Every tick ends with one budgeted scrub slice on the same thread, and an
+// idle scheduler finishes the scrub walk in progress before it sleeps.
+//
 // Threading: the scheduler thread is the only toucher of the pool, the run
-// set and session contents after activation; cross-thread handoff is the
-// mutex-guarded ready queue (enqueue side) and the SessionTable's own lock.
+// set, the scrubber and session contents after activation; cross-thread
+// handoff is the mutex-guarded ready queue (enqueue side) and the
+// SessionTable's own lock.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -97,17 +100,20 @@ struct SchedulerConfig {
   /// (sweep_threads forced to 1). The fault campaign runs the real
   /// scheduler this way so identical seeds replay identical tick orders.
   bool manual = false;
-  /// Background scrubber over the running sessions' pages, page tables and
-  /// sealed metadata: latent storage upsets are found and healed from the
-  /// checkpoint mirrors *before* the next decode read trips on them. Manual
-  /// mode runs one budgeted pass inline at the end of every tick (so
-  /// campaign trials replay deterministically); thread mode runs a
-  /// rate-limited scrub thread serialized with ticks.
+  /// Scrubber over the model weights, the running sessions' pages, page
+  /// tables and sealed metadata, and idle shared-prefix pages: latent
+  /// storage upsets are found and healed from the checkpoint mirrors
+  /// *before* the next decode read trips on them. One budgeted slice runs
+  /// at the end of every tick on the scheduler thread (sessions this
+  /// tick's sweep just verified are skipped); an idle scheduler finishes
+  /// the walk in progress, then sleeps.
   bool scrub = true;
-  /// Items verified per scrub pass; 0 = the full walk every pass.
-  std::size_t scrub_budget = 0;
-  /// Thread mode: pacing between scrub passes.
-  std::chrono::microseconds scrub_interval{200};
+  /// Items verified per scrub slice; 0 = the full walk every tick (what
+  /// the deterministic stepper uses). The serving default verifies one
+  /// weight matrix, session layer or idle page per tick: at the perfbench
+  /// shape that is ~0.05 ms on average (0.17 ms at most) against a ~2 ms
+  /// single-session tick.
+  std::size_t scrub_budget = 1;
   /// Non-owning observability taps (the server copies its own here): tick /
   /// admission / prefill / decode-batch spans go to `trace`; preemptions,
   /// resumes, CoW forks and shared-page heal epochs to `flight`. Null = off.
@@ -196,12 +202,19 @@ class ContinuousScheduler {
   /// mirror on alarm). Clean verifies are counted but stay out of the op
   /// stream; alarmed ones report through the session like any guarded op.
   bool verify_meta(GenerationSession& session);
-  /// The scrubber's walk list: one metadata item plus one kKvPage item per
-  /// layer for every running session. Items verify-and-heal and attribute
-  /// findings to the owning session; they are fetched and executed within
-  /// one pass under the scrub serialization, so the pointers stay live.
+  /// The scrubber's walk list: one item per weight part, one metadata item
+  /// plus one kKvPage item per layer for every running session, and one
+  /// per idle shared-prefix page. Items verify-and-heal and attribute
+  /// findings to the owning session, which they look up by sched_order
+  /// when they run (a walk spans ticks).
   [[nodiscard]] std::vector<scrub::ScrubItem> scrub_items();
-  void publish_scrub();
+  /// The running session `order` if the scrub should walk it now; null
+  /// once it left the run set or when this tick's sweep verified it.
+  [[nodiscard]] GenerationSession* scrub_target(std::uint64_t order) const;
+  /// One scrub slice, then the counters are republished.
+  void scrub_slice();
+  /// True while admitted sessions remain anywhere. Caller holds mutex_.
+  [[nodiscard]] bool has_work() const;
   /// Folds one step's results into the session; true if it is done.
   bool absorb_step(GenerationSession& session, StepResult step,
                    std::size_t batch_size, double service_us);
@@ -221,9 +234,6 @@ class ContinuousScheduler {
   /// through self_verdict, so a tolerance-corrupted checker cannot blind
   /// them).
   GuardedExecutor control_executor_;
-  /// Serializes scrub passes against ticks in thread mode: the loop holds
-  /// it across tick(), the scrub thread across each pass.
-  std::mutex scrub_mutex_;
   std::unique_ptr<scrub::Scrubber> scrubber_;
 
   std::mutex mutex_;
@@ -236,6 +246,8 @@ class ContinuousScheduler {
   std::vector<GenerationSession*> running_; ///< holding pages, decode-ready.
   std::uint64_t next_order_ = 1;
   std::size_t rotate_ = 0;  ///< round-robin cursor over running_.
+  /// sched_order of every session this tick's decode sweep verified.
+  std::vector<std::uint64_t> swept_;
   std::size_t stall_ticks_ = 0;  ///< manual mode: no-progress tick streak.
   /// Last published prefix-cache gauges, for delta-triggered flight/trace
   /// events (CoW forks and shared-page heals are pool-internal, so the

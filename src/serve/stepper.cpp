@@ -29,6 +29,9 @@ std::vector<SteppedSession> run_stepped(const TransformerModel& model,
   scfg.num_pages = cfg.num_pages;
   scfg.prefix_cache = cfg.prefix_cache;
   scfg.sweep_threads = 1;
+  // The full scrub walk every tick: a latent fault is found in the tick
+  // it lands, whatever the walk's length.
+  scfg.scrub_budget = 0;
   scfg.trace = cfg.trace;
   scfg.flight = cfg.flight;
   GuardedExecutor::Options exec_options = cfg.executor_options;

@@ -323,7 +323,7 @@ std::string TelemetrySnapshot::prometheus_text(double wall_seconds) const {
           "sessions evicted under page pressure");
   counter("session_resumes_total", session_resumes,
           "preempted/parked sessions resumed");
-  counter("scrub_passes_total", scrub_passes, "background scrub passes");
+  counter("scrub_passes_total", scrub_passes, "completed scrub walks");
   counter("scrub_repairs_total", scrub_repairs,
           "latent faults healed by the scrubber");
   gauge("pages_in_use", double(pages_in_use), "KV pool pages allocated now");

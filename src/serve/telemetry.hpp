@@ -113,9 +113,9 @@ struct TelemetrySnapshot {
   std::uint64_t shared_pages = 0;       ///< gauge: allocated shared pages.
   std::uint64_t evictable_pages = 0;    ///< gauge: registry-only shared pages.
 
-  // Control plane + background scrub (zero when the guard/scrubber is off).
+  // Control plane + scrub (zero when the guard/scrubber is off).
   std::uint64_t meta_verifies = 0;       ///< sealed-metadata boundary checks.
-  std::uint64_t scrub_passes = 0;        ///< scrub passes executed.
+  std::uint64_t scrub_passes = 0;        ///< completed scrub walks.
   std::uint64_t scrub_items = 0;         ///< verify-and-heal items scrubbed.
   std::uint64_t scrub_faults_found = 0;  ///< latent faults the scrub hit.
   std::uint64_t scrub_repairs = 0;       ///< healed from checkpoint mirrors.

@@ -6,6 +6,7 @@
 // accounting that doubles page capacity at 16-bit storage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -349,6 +350,24 @@ TEST(Dtype, WeightScrubStaysExactAtEveryDtype) {
   // the same order, so clean weights read exactly 0.0 regardless of
   // storage dtype, and a drift far below the dtype's quantization step
   // (invisible to every arithmetic comparator at bf16) still alarms.
+  //
+  // The scrubber walks the weights one part (matrix) per item: a single
+  // corrupted element must alarm exactly one part, every part must verify
+  // fresh exactly when the whole-model verify does, and the parts' costs
+  // must add up to the whole walk's.
+  const auto stale_parts = [](const TransformerModel& model,
+                              const GuardedExecutor& exec) {
+    std::vector<std::size_t> stale;
+    for (std::size_t part = 0; part < model.weight_part_count(); ++part) {
+      LayerReport report;
+      if (!guarded_weight_part_verify(model, part, /*index=*/0, exec,
+                                      report)) {
+        EXPECT_FALSE(report.all_accepted_clean());
+        stale.push_back(part);
+      }
+    }
+    return stale;
+  };
   for (const DType dtype : {DType::kF32, DType::kBf16, DType::kF16}) {
     const TransformerConfig cfg = tiny_model(dtype);
     TransformerModel model(cfg, 2029);
@@ -357,6 +376,13 @@ TEST(Dtype, WeightScrubStaysExactAtEveryDtype) {
     EXPECT_TRUE(guarded_weight_verify(model, /*index=*/0, exec, clean))
         << dtype_name(dtype);
     EXPECT_EQ(model.weight_staleness(), 0.0) << dtype_name(dtype);
+    EXPECT_EQ(model.weight_part_count(), 1 + 6 * cfg.num_layers);
+    EXPECT_TRUE(stale_parts(model, exec).empty()) << dtype_name(dtype);
+    double cost = 0.0;
+    for (std::size_t part = 0; part < model.weight_part_count(); ++part) {
+      cost += model.weight_part_cost(part);
+    }
+    EXPECT_EQ(cost, model.weight_verify_cost()) << dtype_name(dtype);
 
     Rng rng(7);
     model.corrupt_weight(model.draw_weight_site(rng, /*delta=*/1e-7));
@@ -365,6 +391,32 @@ TEST(Dtype, WeightScrubStaysExactAtEveryDtype) {
         << dtype_name(dtype);
     EXPECT_GT(model.weight_staleness(), 0.0) << dtype_name(dtype);
     EXPECT_FALSE(stale.all_accepted_clean()) << dtype_name(dtype);
+    EXPECT_EQ(stale_parts(model, exec).size(), 1u) << dtype_name(dtype);
+
+    // One upset per matrix kind, in the last layer: each alarms its own
+    // part, and no two kinds share one.
+    std::vector<std::size_t> alarmed;
+    for (int kind = 0; kind <= int(WeightSite::Matrix::kFfn2); ++kind) {
+      TransformerModel upset(cfg, 2029);
+      WeightSite site;
+      site.matrix = WeightSite::Matrix(kind);
+      site.layer = cfg.num_layers - 1;
+      site.row = 3;
+      site.col = 5;
+      site.delta = 1e-7;
+      upset.corrupt_weight(site);
+      const std::vector<std::size_t> parts = stale_parts(upset, exec);
+      ASSERT_EQ(parts.size(), 1u) << dtype_name(dtype) << " kind " << kind;
+      alarmed.push_back(parts.front());
+      LayerReport whole;
+      EXPECT_FALSE(guarded_weight_verify(upset, /*index=*/0, exec, whole))
+          << dtype_name(dtype) << " kind " << kind;
+      EXPECT_EQ(upset.weight_part_staleness(parts.front()),
+                upset.weight_staleness());
+    }
+    std::sort(alarmed.begin(), alarmed.end());
+    EXPECT_EQ(std::unique(alarmed.begin(), alarmed.end()), alarmed.end())
+        << dtype_name(dtype);
   }
 }
 

@@ -1,17 +1,16 @@
-// Control-plane integrity + background scrubber tests: GuardedRecord
-// sealing/repair, guarded_meta_verify through the executor ladder,
-// selective DMR of the checksum-free glue, the Scrubber pacing engine
-// (budgeted cursor rotation, counters, background thread), the
-// scrub-thread-vs-scheduler race (run under TSan in CI), and tick-for-tick
-// determinism of latent-fault scrubbing under the deterministic stepper.
+// Control-plane integrity + scrubber tests: GuardedRecord sealing/repair,
+// guarded_meta_verify through the executor ladder, selective DMR of the
+// checksum-free glue, the Scrubber slicing engine (budgeted cursor over a
+// walk, counters), inline scrubbing on the threaded server (run under TSan
+// in CI) and its idle behaviour, and tick-for-tick determinism of
+// latent-fault scrubbing under the deterministic stepper.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <future>
-#include <mutex>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/kv_pool.hpp"
@@ -197,12 +196,14 @@ TEST(Scrubber, BudgetedPassesRotateTheCursorOverTheWalk) {
   EXPECT_EQ(scrubber.run_tick(), 2u);
   EXPECT_EQ(scrubber.run_tick(), 2u);
   EXPECT_EQ(scrubber.run_tick(), 2u);
-  // Three budget-2 passes over a 4-item walk cover every item, wrapping.
+  // Three budget-2 slices over a 4-item walk cover every item, wrapping:
+  // one walk completed, the second half done.
   EXPECT_EQ(visits, (std::vector<int>{0, 1, 2, 3, 0, 1}));
   const scrub::ScrubStats stats = scrubber.stats();
-  EXPECT_EQ(stats.passes, 3u);
+  EXPECT_EQ(stats.passes, 1u);
   EXPECT_EQ(stats.items_scrubbed, 6u);
   EXPECT_EQ(stats.faults_found, 0u);
+  EXPECT_TRUE(scrubber.mid_walk());
 }
 
 TEST(Scrubber, CountsRepairsAndUnrepairables) {
@@ -219,55 +220,6 @@ TEST(Scrubber, CountsRepairsAndUnrepairables) {
   EXPECT_EQ(stats.faults_found, 2u);  // repaired + unrepairable both alarm.
   EXPECT_EQ(stats.repairs, 1u);
   EXPECT_EQ(stats.unrepairable, 1u);
-}
-
-TEST(Scrubber, BackgroundThreadScrubsUnderTheGuardMutex) {
-  // The scrub thread and a mutating "scheduler" both take the guard mutex;
-  // the record is only ever touched under it. TSan (CI's scheduler-tsan
-  // job runs this test) verifies the serialization is real.
-  std::mutex guard;
-  GuardedRecord<SessionMeta> record(sample_meta());
-  const GuardedExecutor executor{GuardedExecutor::Options{}};
-  std::atomic<std::uint64_t> scrubbed{0};
-
-  const auto provider = [&] {
-    std::vector<scrub::ScrubItem> items;
-    items.push_back({[&] {
-      LayerReport report;
-      const bool clean =
-          guarded_meta_verify(record, /*index=*/0, executor, report);
-      ++scrubbed;
-      return clean && report.ops.front().alarms == 0
-                 ? scrub::ItemOutcome::kClean
-                 : scrub::ItemOutcome::kRepaired;
-    }});
-    return items;
-  };
-  scrub::Scrubber::Options options;
-  options.interval = std::chrono::microseconds(50);
-  options.guard = &guard;
-  scrub::Scrubber scrubber(provider, options);
-  scrubber.start();
-
-  // The host keeps mutating (legitimately, via mutate) while the scrub
-  // thread verifies — every touch serialized by the guard.
-  for (int i = 0; i < 200; ++i) {
-    {
-      std::lock_guard lock(guard);
-      record.mutate([i](SessionMeta& meta) { meta.steps_done = i; });
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
-  }
-  while (scrubbed.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  scrubber.stop();
-
-  const scrub::ScrubStats stats = scrubber.stats();
-  EXPECT_GT(stats.passes, 0u);
-  EXPECT_EQ(stats.faults_found, 0u);  // legitimate writes never alarm.
-  std::lock_guard lock(guard);
-  EXPECT_TRUE(record.verify());
 }
 
 // --- Latent shared-prefix-page drill -----------------------------------
@@ -327,9 +279,9 @@ TEST(Scrubber, IdleSharedPrefixPagesHealBeforeTheNextAcquire) {
   EXPECT_EQ(op.extra_checks.size(), 2u);
 }
 
-// --- Scrub thread vs the continuous scheduler (the TSan race test) -----
+// --- Inline scrubbing on the threaded server (the TSan test) -----------
 
-TEST(ScrubRace, SchedulerThreadAndScrubThreadServeCleanSessions) {
+serve::ServerConfig small_server_config() {
   serve::ServerConfig config;
   config.num_workers = 2;
   config.queue_capacity = 32;
@@ -344,38 +296,78 @@ TEST(ScrubRace, SchedulerThreadAndScrubThreadServeCleanSessions) {
   config.max_sessions = 4;
   config.scheduler.page_size = 4;
   config.scheduler.scrub = true;
-  config.scheduler.scrub_interval = std::chrono::microseconds(50);
+  return config;
+}
+
+serve::ServeRequest generation_request(std::vector<std::size_t> prompt,
+                                       std::size_t max_new_tokens) {
+  serve::ServeRequest request;
+  request.category = "generation";
+  serve::GenerationWork work;
+  work.prompt = std::move(prompt);
+  work.max_new_tokens = max_new_tokens;
+  request.work = std::move(work);
+  return request;
+}
+
+TEST(InlineScrub, ThreadedServerHealsALatentUpsetAndServesCleanSessions) {
+  serve::ServerConfig config = small_server_config();
   config.dmr_glue = true;
   serve::InferenceServer server(config);
 
+  // Session 0 takes a latent KV upset and sits out a window far longer than
+  // two walks at the serving budget (the worst-case age of a latent fault),
+  // so the scrub slices at the end of each tick, not the next decode read,
+  // must find it. Its prompt is its own: no co-reader's sweep can heal it.
+  serve::ServeRequest latent = generation_request({9, 11, 29, 3, 17}, 5);
+  serve::GenerationWork& work = std::get<serve::GenerationWork>(latent.work);
+  serve::KvCorruption upset;
+  upset.step = 3;
+  upset.layer = 1;
+  upset.value_side = false;
+  upset.row = 2;
+  upset.col = 1;
+  upset.delta = 0.5;
+  upset.latent = true;
+  work.kv_corruptions.push_back(upset);
+  work.latent_idle_ticks = 128;
+
   std::vector<std::future<serve::ServeResponse>> futures;
-  for (int i = 0; i < 6; ++i) {
-    serve::ServeRequest request;
-    request.category = "generation";
-    serve::GenerationWork work;
-    work.prompt = {5, 40, 2, 19, 33};
-    work.max_new_tokens = 5;
-    request.work = std::move(work);
-    futures.push_back(server.submit(std::move(request)));
+  futures.push_back(server.submit(std::move(latent)));
+  for (int i = 0; i < 5; ++i) {
+    futures.push_back(server.submit(generation_request({5, 40, 2, 19, 33}, 5)));
   }
-  for (auto& future : futures) {
-    const serve::ServeResponse response = future.get();
-    EXPECT_TRUE(response.checksum_clean);
-    EXPECT_EQ(response.tokens.size(), 5u);
-    EXPECT_GT(response.meta_verifies, 0u);
-    EXPECT_GT(response.dmr_compares, 0u);
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const serve::ServeResponse response = futures[i].get();
+    EXPECT_TRUE(response.checksum_clean) << i;
+    EXPECT_EQ(response.tokens.size(), 5u) << i;
+    EXPECT_GT(response.meta_verifies, 0u) << i;
+    EXPECT_GT(response.dmr_compares, 0u) << i;
+    if (i == 0) {
+      EXPECT_GE(response.scrub_faults_found, 1u);
+      EXPECT_GE(response.scrub_repairs, 1u);
+    } else {
+      EXPECT_EQ(response.scrub_faults_found, 0u) << i;
+    }
   }
-  // The paced scrub thread competes with everything else for CPU; on a
-  // loaded machine its first pass can land after the last future resolves
-  // (prefix caching makes the generation run itself very short). Give the
-  // pass a bounded window instead of assuming the race already resolved.
-  serve::TelemetrySnapshot snapshot = server.telemetry().snapshot();
-  for (int spin = 0; spin < 2000 && snapshot.scrub_passes == 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    snapshot = server.telemetry().snapshot();
-  }
+  server.shutdown();
+  const serve::TelemetrySnapshot snapshot = server.telemetry().snapshot();
   EXPECT_GT(snapshot.scrub_passes, 0u);
-  EXPECT_EQ(snapshot.scrub_faults_found, 0u);  // nothing was corrupted.
+  EXPECT_GE(snapshot.scrub_repairs, 1u);
+}
+
+TEST(InlineScrub, IdleServerStopsScrubbingOnceItsWalkCompletes) {
+  serve::InferenceServer server(small_server_config());
+  const serve::ServeResponse response =
+      server.submit(generation_request({5, 40, 2, 19, 33}, 5)).get();
+  EXPECT_TRUE(response.checksum_clean);
+  // The walk in progress when the session finished completes within a few
+  // idle slices; after that the scheduler sleeps and the count holds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::uint64_t settled = server.telemetry().snapshot().scrub_passes;
+  EXPECT_GT(settled, 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(server.telemetry().snapshot().scrub_passes, settled);
   server.shutdown();
 }
 
