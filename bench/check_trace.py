@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Schema gate over the observability artifacts (trace + flight dumps).
+"""Schema gate over the observability artifacts (trace, flight dumps and
+Prometheus text).
 
-Two modes, one per artifact:
+Three modes, one per artifact:
 
 Trace mode (positional path): validates a Chrome/Perfetto trace_event
 JSON produced by --trace=<file> (serve_throughput, serving_demo):
@@ -34,6 +35,18 @@ serve_throughput / serving_demo on demand):
     the post-mortem must say what was being injected when the stack
     wedged, or the recorder is decoration.
 
+Prometheus mode (--prom PATH): validates the text exposition written by
+serve_throughput --prom=<file> (TelemetrySnapshot::prometheus_text):
+
+  * every family carries exactly one '# HELP' and one '# TYPE' line,
+    with a known metric type,
+  * every sample parses as 'name[{labels}] value' and belongs to a
+    declared family (a histogram's _bucket/_sum/_count samples belong
+    to the histogram family),
+  * per histogram series, the buckets are cumulative (le and count both
+    non-decreasing), the last one is le="+Inf", and _count equals the
+    +Inf bucket.
+
 Exit codes: 0 pass, 1 validation failure, 2 bad invocation / unreadable
 file (same convention as check_regression.py / check_coverage.py).
 
@@ -41,6 +54,7 @@ Usage:
   python3 bench/check_trace.py trace.json \
       [--require-names tick,decode-batch,prefill]
   python3 bench/check_trace.py --flight flight.txt [--expect-crash-hang]
+  python3 bench/check_trace.py --prom metrics.txt
 """
 
 import argparse
@@ -59,6 +73,11 @@ FLIGHT_HEADER_RE = re.compile(
     r"^# flight recorder: (\d+) of (\d+) events retained \(capacity (\d+)\)$")
 FLIGHT_EVENT_RE = re.compile(
     r"^(\d+) t\+(\d+)ns (\S+) (\S+) (\S+)( v=(\d+))?$")
+PROM_TYPES = {"counter", "gauge", "histogram", "summary", "untyped"}
+PROM_SAMPLE_RE = re.compile(
+    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(.*)\})? (\S+)$")
+PROM_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+
 CAMPAIGN_HEADER_RE = re.compile(
     r"^=== crash_hang scheduler=(\S+) subsystem=(\S+) trial=(\d+) "
     r"step=(\d+) ===$")
@@ -208,6 +227,131 @@ def check_flight(path, expect_crash_hang):
     return failures
 
 
+def parse_prom_labels(text):
+    """'k="v",k2="v2"' -> list of (k, v) pairs; None if malformed."""
+    pairs = []
+    rest = text
+    while rest:
+        match = PROM_LABEL_RE.match(rest)
+        if not match:
+            return None
+        pairs.append(match.groups())
+        rest = rest[match.end():]
+        if rest.startswith(","):
+            rest = rest[1:]
+        elif rest:
+            return None
+    return pairs
+
+
+def check_prom(path):
+    """Returns a list of failure strings (empty = pass)."""
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as err:
+        return [f"cannot read {path}: {err}"]
+
+    failures = []
+    helps = {}   # family -> HELP line count.
+    types = {}   # family -> declared type (first TYPE line).
+    type_lines = {}
+    samples = []  # (line number, family, suffix, labels, value)
+
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        where = f"line {i + 1}"
+        if line.startswith("# HELP "):
+            family = line[7:].split(" ", 1)[0]
+            helps[family] = helps.get(family, 0) + 1
+            continue
+        if line.startswith("# TYPE "):
+            parts = line[7:].split(" ")
+            if len(parts) != 2 or parts[1] not in PROM_TYPES:
+                failures.append(f"{where}: bad TYPE line: {line!r}")
+                continue
+            type_lines[parts[0]] = type_lines.get(parts[0], 0) + 1
+            types.setdefault(parts[0], parts[1])
+            continue
+        if line.startswith("#"):
+            continue  # free-form comment.
+        match = PROM_SAMPLE_RE.match(line)
+        if not match:
+            failures.append(f"{where}: unparseable sample: {line!r}")
+            continue
+        name, _, label_text, value_text = match.groups()
+        labels = parse_prom_labels(label_text or "")
+        try:
+            value = float(value_text)
+        except ValueError:
+            value = None
+        if labels is None or value is None:
+            failures.append(f"{where}: malformed sample: {line!r}")
+            continue
+        family, suffix = name, ""
+        if name not in types:
+            for candidate in ("_bucket", "_sum", "_count"):
+                base = name[:-len(candidate)]
+                if (name.endswith(candidate)
+                        and types.get(base) in ("histogram", "summary")):
+                    family, suffix = base, candidate
+                    break
+        if family not in types:
+            failures.append(f"{where}: sample {name!r} belongs to no "
+                            "declared family")
+            continue
+        samples.append((where, family, suffix, labels, value))
+
+    for family in sorted(set(helps) | set(type_lines)):
+        if helps.get(family, 0) != 1:
+            failures.append(f"family {family}: {helps.get(family, 0)} HELP "
+                            "line(s), expected 1")
+        if type_lines.get(family, 0) != 1:
+            failures.append(f"family {family}: {type_lines.get(family, 0)} "
+                            "TYPE line(s), expected 1")
+
+    # Histogram series, keyed by (family, labels without le).
+    series = {}
+    for where, family, suffix, labels, value in samples:
+        if types[family] != "histogram" or not suffix:
+            continue
+        key = (family, tuple(kv for kv in labels if kv[0] != "le"))
+        entry = series.setdefault(key, {"buckets": [], "count": None})
+        if suffix == "_bucket":
+            le = dict(labels).get("le")
+            if le is None:
+                failures.append(f"{where}: {family}_bucket without le")
+                continue
+            entry["buckets"].append((where, le, value))
+        elif suffix == "_count":
+            entry["count"] = value
+    for (family, labels), entry in sorted(series.items()):
+        label = f"{family}{{{','.join(f'{k}={v}' for k, v in labels)}}}"
+        buckets = entry["buckets"]
+        if not buckets:
+            failures.append(f"{label}: histogram series without buckets")
+            continue
+        prev_le, prev_count = float("-inf"), 0.0
+        for where, le, count in buckets:
+            edge = float(le)  # "+Inf" parses as inf.
+            if edge <= prev_le or count < prev_count:
+                failures.append(f"{where}: {label} bucket le={le} is not "
+                                "cumulative")
+            prev_le, prev_count = edge, count
+        if buckets[-1][1] != "+Inf":
+            failures.append(f"{label}: last bucket is le={buckets[-1][1]}, "
+                            "not +Inf")
+        elif entry["count"] != buckets[-1][2]:
+            failures.append(f"{label}: _count {entry['count']} != +Inf "
+                            f"bucket {buckets[-1][2]}")
+
+    if not failures:
+        print(f"{path}: {len(types)} families, {len(samples)} samples, "
+              f"{len(series)} histogram series — prometheus ok")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", nargs="?",
@@ -220,9 +364,11 @@ def main():
     parser.add_argument("--expect-crash-hang", action="store_true",
                         help="require a crash_hang campaign header naming "
                              "the injected subsystem, plus a hang event")
+    parser.add_argument("--prom",
+                        help="Prometheus text exposition to validate")
     args = parser.parse_args()
 
-    if args.trace is None and args.flight is None:
+    if args.trace is None and args.flight is None and args.prom is None:
         parser.print_usage(sys.stderr)
         return 2
 
@@ -232,6 +378,8 @@ def main():
         failures += check_trace(args.trace, names)
     if args.flight is not None:
         failures += check_flight(args.flight, args.expect_crash_hang)
+    if args.prom is not None:
+        failures += check_prom(args.prom)
 
     if failures:
         print(f"trace check FAILED ({len(failures)} problem(s)):")

@@ -327,35 +327,15 @@ void write_json(const std::string& path,
         << "      \"p50_us\": " << t.total_p50_us << ",\n"
         << "      \"p95_us\": " << t.total_p95_us << ",\n"
         << "      \"p99_us\": " << t.total_p99_us << ",\n"
-        << "      \"alarm_events\": " << t.alarm_events << ",\n"
-        << "      \"op_executions\": " << t.op_executions << ",\n"
-        << "      \"recovered\": " << t.recovered << ",\n"
-        << "      \"fallback\": " << t.fallback << ",\n"
-        << "      \"escalations\": " << t.escalations << ",\n"
-        << "      \"checksum_dirty\": " << t.checksum_dirty << ",\n"
         << "      \"transient_injected\": " << s.report.transient_injected
         << ",\n"
         << "      \"persistent_injected\": " << s.report.persistent_injected
-        << ",\n"
-        << "      \"tokens_generated\": " << s.report.tokens_generated
         << ",\n"
         << "      \"tokens_per_sec\": " << s.report.tokens_per_second
         << ",\n"
         << "      \"ttft_p50_us\": " << t.ttft_p50_us << ",\n"
         << "      \"ttft_p99_us\": " << t.ttft_p99_us << ",\n"
-        << "      \"sessions_parked\": " << t.sessions_parked << ",\n"
-        << "      \"prefix_hits\": " << t.prefix_hits << ",\n"
-        << "      \"prefix_misses\": " << t.prefix_misses << ",\n"
-        << "      \"prefix_hit_rate\": "
-        << (t.prefix_hits + t.prefix_misses > 0
-                ? double(t.prefix_hits) /
-                      double(t.prefix_hits + t.prefix_misses)
-                : 0.0)
-        << ",\n"
-        << "      \"prefix_hit_tokens\": " << t.prefix_hit_tokens << ",\n"
-        << "      \"prefix_cow_forks\": " << t.prefix_cow_forks << ",\n"
-        << "      \"prefix_evictions\": " << t.prefix_evictions << ",\n"
-        << "      \"shared_heals\": " << t.shared_heals << ",\n"
+        << "      \"prefix_hit_rate\": " << t.prefix_hit_rate() << ",\n"
         << "      \"prefix_cached_responses\": "
         << s.report.prefix_cached_responses << ",\n"
         << "      \"cached_ttft_p50_us\": " << s.report.cached_ttft_p50_us
@@ -363,19 +343,18 @@ void write_json(const std::string& path,
         << "      \"uncached_ttft_p50_us\": "
         << s.report.uncached_ttft_p50_us << ",\n"
         << "      \"batch_occupancy\": " << t.batch_occupancy() << ",\n"
-        << "      \"preemptions\": " << t.preemptions << ",\n"
-        << "      \"session_resumes\": " << t.session_resumes << ",\n"
         << "      \"peak_page_utilization\": " << t.peak_page_utilization()
-        << ",\n"
-        << "      \"meta_verifies\": " << t.meta_verifies << ",\n"
-        << "      \"scrub_passes\": " << t.scrub_passes << ",\n"
-        << "      \"scrub_items\": " << t.scrub_items << ",\n"
-        << "      \"scrub_faults_found\": " << t.scrub_faults_found << ",\n"
-        << "      \"scrub_repairs\": " << t.scrub_repairs << ",\n"
-        << "      \"scrub_unrepairable\": " << t.scrub_unrepairable << ",\n"
-        << "      \"dmr_compares\": " << t.dmr_compares << ",\n"
-        << "      \"dmr_mismatches\": " << t.dmr_mismatches
-        << ",\n      \"per_kind\": {";
+        << ",\n";
+    // Every non-zero telemetry counter under its snapshot field name
+    // (tokens_generated included: it sums the same responses the load
+    // report does).
+    for (const CounterDescriptor& counter : kCounterTable) {
+      const std::uint64_t value = t.*counter.field;
+      if (value != 0) {
+        out << "      \"" << counter.name << "\": " << value << ",\n";
+      }
+    }
+    out << "      \"per_kind\": {";
     bool first = true;
     for (std::size_t k = 0; k < kOpKindCount; ++k) {
       const OpKindStats& stats = t.per_kind[k];
@@ -592,15 +571,10 @@ int main(int argc, char** argv) {
     }
     if (prefix_workload) {
       const TelemetrySnapshot& tel = report.telemetry;
-      const std::size_t lookups = tel.prefix_hits + tel.prefix_misses;
       t.add_row({"prefix hits / misses",
                  format_number(double(tel.prefix_hits), 0) + " / " +
                      format_number(double(tel.prefix_misses), 0)});
-      t.add_row({"prefix hit rate",
-                 format_number(lookups > 0 ? double(tel.prefix_hits) /
-                                                 double(lookups)
-                                           : 0.0,
-                               2)});
+      t.add_row({"prefix hit rate", format_number(tel.prefix_hit_rate(), 2)});
       t.add_row({"prefill tokens skipped",
                  format_number(double(tel.prefix_hit_tokens), 0)});
       t.add_row({"cow forks / evictions",

@@ -158,8 +158,8 @@ int main(int argc, char** argv) {
   const auto describe = [](const ServeResponse& r) {
     std::cout << "  request " << r.id << ": path=" << serve_path_name(r.path)
               << " worker=" << r.worker_id << " batch=" << r.batch_size
-              << " alarms=" << r.alarm_events
-              << " op-runs=" << r.op_executions
+              << " alarms=" << r.counters.alarm_events
+              << " op-runs=" << r.counters.op_executions
               << " checksum=" << (r.checksum_clean ? "clean" : "DIRTY")
               << '\n';
     return r.checksum_clean;
@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
       }
       std::cout << "] path=" << serve_path_name(r.path)
                 << " ttft=" << r.ttft_us << "us steps=" << r.decode_steps
-                << " alarms=" << r.alarm_events
+                << " alarms=" << r.counters.alarm_events
                 << " checksum=" << (r.checksum_clean ? "clean" : "DIRTY")
                 << '\n';
       return r.checksum_clean;
@@ -355,7 +355,7 @@ int main(int argc, char** argv) {
       std::cout << "  session " << r.id << ": path="
                 << serve_path_name(r.path) << " tokens=" << r.tokens.size()
                 << " preempted=" << r.preemptions << " resumed=" << r.resumes
-                << " alarms=" << r.alarm_events
+                << " alarms=" << r.counters.alarm_events
                 << " checksum=" << (r.checksum_clean ? "clean" : "DIRTY")
                 << '\n';
       all_clean = all_clean && r.checksum_clean;
@@ -429,17 +429,17 @@ int main(int argc, char** argv) {
       const serve::SteppedSession& s = sessions[i];
       std::cout << "  session " << i << (i == 0 ? " (latent fault)" : " (clean)")
                 << ": tokens=" << s.tokens.size()
-                << " meta-verifies=" << s.meta_verifies
-                << " dmr-compares=" << s.dmr_compares
-                << " scrub-found=" << s.scrub_faults_found
-                << " scrub-repaired=" << s.scrub_repairs
+                << " meta-verifies=" << s.counters.meta_verifies
+                << " dmr-compares=" << s.counters.dmr_compares
+                << " scrub-found=" << s.counters.scrub_faults_found
+                << " scrub-repaired=" << s.counters.scrub_repairs
                 << " checksum=" << (s.checksum_clean ? "clean" : "DIRTY")
                 << '\n';
       all_clean = all_clean && !s.failed && s.checksum_clean;
     }
     if (inject_faults) {
-      const bool healed = sessions[0].scrub_faults_found >= 1 &&
-                          sessions[0].scrub_repairs >= 1;
+      const bool healed = sessions[0].counters.scrub_faults_found >= 1 &&
+                          sessions[0].counters.scrub_repairs >= 1;
       const bool parity = sessions[0].tokens == golden[0].tokens;
       std::cout << "  scrubber healed the dormant upset inside the idle "
                 << "window: " << (healed ? "yes" : "NO (?!)")
@@ -498,13 +498,13 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < sessions.size(); ++i) {
       const serve::SteppedSession& s = sessions[i];
       const bool reader_alarmed =
-          s.alarm_events > 0 || s.path != ServePath::kGuardedClean;
+          s.counters.alarm_events > 0 || s.path != ServePath::kGuardedClean;
       if (reader_alarmed) ++alarmed;
       parity = parity && s.tokens == golden[i].tokens;
       std::cout << "  session " << i
                 << (i == 0 ? " (upset injected)" : " (co-reader)")
                 << ": path=" << serve_path_name(s.path)
-                << " alarms=" << s.alarm_events
+                << " alarms=" << s.counters.alarm_events
                 << " tokens=" << s.tokens.size()
                 << " checksum=" << (s.checksum_clean ? "clean" : "DIRTY")
                 << '\n';
@@ -536,8 +536,8 @@ int main(int argc, char** argv) {
       stepped.executor_options.tolerances =
           derive_tolerances(common->dtype, tolerance_shape_for(config.model));
     }
-    stepped.flight = &recorder;
-    stepped.trace = &collector;
+    stepped.obs.flight = &recorder;
+    stepped.obs.trace = &collector;
 
     GenerationWork work;
     work.prompt = server.model().encode("record the aftermath");

@@ -122,8 +122,8 @@ bool trial_diverged(const std::vector<serve::SteppedSession>& golden,
 
 bool trial_alarmed(const std::vector<serve::SteppedSession>& trial) {
   for (const serve::SteppedSession& s : trial) {
-    if (s.alarm_events > 0 || s.fallback_ops > 0 || !s.checksum_clean ||
-        s.scrub_faults_found > 0 ||
+    if (s.counters.alarm_events > 0 || s.counters.fallback_ops > 0 ||
+        !s.checksum_clean || s.counters.scrub_faults_found > 0 ||
         s.path != serve::ServePath::kGuardedClean) {
       return true;
     }
@@ -133,7 +133,7 @@ bool trial_alarmed(const std::vector<serve::SteppedSession>& trial) {
 
 bool trial_scrub_found(const std::vector<serve::SteppedSession>& trial) {
   for (const serve::SteppedSession& s : trial) {
-    if (s.scrub_faults_found > 0) return true;
+    if (s.counters.scrub_faults_found > 0) return true;
   }
   return false;
 }
@@ -221,7 +221,7 @@ CampaignResult run_campaign(
       // Flight recording is per-trial and only armed when a dump path is
       // configured — the default campaign's trials carry no recorder.
       obs::FlightRecorder recorder(/*capacity=*/128);
-      if (!cfg.flight_dump_path.empty()) trial_cfg.flight = &recorder;
+      if (!cfg.flight_dump_path.empty()) trial_cfg.obs.flight = &recorder;
       if (plan.checker_tolerance_scale != 1.0) {
         trial_cfg.executor_options.checker.abs_tolerance *=
             plan.checker_tolerance_scale;

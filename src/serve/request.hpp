@@ -196,6 +196,21 @@ struct ServeRequest {
   Clock::time_point enqueue_time{};
 };
 
+/// Per-request protection accounting. A generation session accumulates it
+/// step by step and hands it unchanged to its response, and the stepper on
+/// to its SteppedSession; telemetry sums the fields it does not take from
+/// the scrubber (kResponseCounters, telemetry.hpp).
+struct ProtectionCounters {
+  std::size_t op_executions = 0;       ///< guarded op-runs incl. retries.
+  std::size_t alarm_events = 0;        ///< op-alarm observations, all attempts.
+  std::size_t fallback_ops = 0;        ///< ops served by the reference kernel.
+  std::size_t meta_verifies = 0;       ///< sealed-metadata checks executed.
+  std::size_t scrub_faults_found = 0;  ///< latent faults the scrubber hit.
+  std::size_t scrub_repairs = 0;       ///< of those, healed from mirrors.
+  std::size_t dmr_compares = 0;        ///< dual-run glue comparisons.
+  std::size_t dmr_mismatches = 0;      ///< of those, bitwise divergences.
+};
+
 /// The completed result of one request.
 struct ServeResponse {
   std::uint64_t id = 0;
@@ -206,9 +221,7 @@ struct ServeResponse {
   /// Unified per-op reports (guarded ops + any fallback ops) — the stream
   /// telemetry's per-op-kind accounting consumes.
   std::vector<OpReport> reports;
-  std::size_t op_executions = 0;  ///< guarded op-runs including retries.
-  std::size_t alarm_events = 0;   ///< op-alarm observations, all attempts.
-  std::size_t fallback_ops = 0;   ///< ops served by the reference kernel.
+  ProtectionCounters counters;
   /// True iff every accepted op output passed its checksum comparison
   /// (guarded ops: no alarm on the accepted run; fallback ops: the
   /// reference kernel's own residual check).
@@ -230,12 +243,6 @@ struct ServeResponse {
   /// Prompt rows mapped from the shared-prefix index instead of being
   /// recomputed by the prefill (0 = cold miss or prefix caching off).
   std::size_t prefix_cached_tokens = 0;
-  // Scrub / control-plane accounting:
-  std::size_t meta_verifies = 0;       ///< sealed-metadata checks executed.
-  std::size_t scrub_faults_found = 0;  ///< latent faults the scrubber hit.
-  std::size_t scrub_repairs = 0;       ///< of those, healed from mirrors.
-  std::size_t dmr_compares = 0;        ///< dual-run glue comparisons.
-  std::size_t dmr_mismatches = 0;      ///< of those, bitwise divergences.
 };
 
 }  // namespace flashabft::serve

@@ -53,7 +53,7 @@ ContinuousScheduler::ContinuousScheduler(
   // concurrency); an explicit setting is honored as-is so the parallel
   // sweep stays testable on any machine.
   if (cfg_.sweep_threads == 0) cfg_.sweep_threads = 1;
-  telemetry_.set_page_usage(0, pool_.num_pages(), 0);
+  telemetry_.set(Counter::pages_total, pool_.num_pages());
   if (cfg_.manual) {
     // Deterministic stepping: the owner drives ticks via run_tick() and a
     // single-threaded sweep keeps every tick's work order reproducible.
@@ -62,8 +62,7 @@ ContinuousScheduler::ContinuousScheduler(
   if (cfg_.scrub) {
     scrub::Scrubber::Options scrub_options;
     scrub_options.budget = cfg_.scrub_budget;
-    scrub_options.obs.trace = cfg_.trace;
-    scrub_options.obs.flight = cfg_.flight;
+    scrub_options.obs = cfg_.obs;
     scrubber_ = std::make_unique<scrub::Scrubber>(
         [this] { return scrub_items(); }, scrub_options);
   }
@@ -210,20 +209,20 @@ void ContinuousScheduler::insert_waiting(GenerationSession* session) {
 }
 
 void ContinuousScheduler::tick(std::vector<GenerationSession*> incoming) {
-  obs::TraceSpan tick_span(cfg_.trace, "tick", "sched");
+  obs::TraceSpan tick_span(cfg_.obs.trace, "tick", "sched");
   swept_.clear();
   // Parked admissions first: the table promotes oldest-first, and stamping
   // orders here keeps FIFO age consistent with admission order.
   while (GenerationSession* parked = sessions_.try_activate_parked()) {
-    telemetry_.on_session_start();
+    telemetry_.add(Counter::sessions_started);
     parked->sched_order = next_order_++;
     insert_waiting(parked);
   }
   for (GenerationSession* session : incoming) {
-    telemetry_.on_session_start();
+    telemetry_.add(Counter::sessions_started);
     session->sched_order = next_order_++;
-    if (cfg_.trace != nullptr) {
-      cfg_.trace->instant_arg("admit", session->sched_order, "sched");
+    if (cfg_.obs.trace != nullptr) {
+      cfg_.obs.trace->instant_arg("admit", session->sched_order, "sched");
     }
     insert_waiting(session);
   }
@@ -232,7 +231,7 @@ void ContinuousScheduler::tick(std::vector<GenerationSession*> incoming) {
   // Completions inside this tick freed slots; pull their parked successors
   // now so the wait predicate can sleep on an empty table.
   while (GenerationSession* parked = sessions_.try_activate_parked()) {
-    telemetry_.on_session_start();
+    telemetry_.add(Counter::sessions_started);
     parked->sched_order = next_order_++;
     insert_waiting(parked);
   }
@@ -267,7 +266,8 @@ void ContinuousScheduler::start_or_resume(GenerationSession& session) {
   const Clock::time_point start = Clock::now();
   const bool first_activation = session.paged == nullptr;
   obs::TraceSpan prefill_span(
-      cfg_.trace, first_activation ? "prefill" : "resume-prefill", "sched");
+      cfg_.obs.trace, first_activation ? "prefill" : "resume-prefill",
+      "sched");
   if (first_activation) {
     session.paged = std::make_unique<PagedKv>(
         pool_.make_session(session.key));
@@ -276,10 +276,10 @@ void ContinuousScheduler::start_or_resume(GenerationSession& session) {
     }
   } else {
     ++session.resumes;
-    telemetry_.on_session_resume();
-    if (cfg_.flight != nullptr) {
-      cfg_.flight->record(obs::FlightEventKind::kResume, "scheduler",
-                          "session", session.sched_order);
+    telemetry_.add(Counter::session_resumes);
+    if (cfg_.obs.flight != nullptr) {
+      cfg_.obs.flight->record(obs::FlightEventKind::kResume, "scheduler",
+                              "session", session.sched_order);
     }
   }
 
@@ -377,13 +377,13 @@ bool ContinuousScheduler::preempt_for(std::size_t needed,
 void ContinuousScheduler::preempt(GenerationSession* victim) {
   pool_.free_session(*victim->paged);
   ++victim->preemptions;
-  telemetry_.on_preemption();
-  if (cfg_.flight != nullptr) {
-    cfg_.flight->record(obs::FlightEventKind::kPreemption, "scheduler",
-                        "session", victim->sched_order);
+  telemetry_.add(Counter::preemptions);
+  if (cfg_.obs.flight != nullptr) {
+    cfg_.obs.flight->record(obs::FlightEventKind::kPreemption, "scheduler",
+                            "session", victim->sched_order);
   }
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->instant_arg("preempt", victim->sched_order, "sched");
+  if (cfg_.obs.trace != nullptr) {
+    cfg_.obs.trace->instant_arg("preempt", victim->sched_order, "sched");
   }
   running_.erase(std::find(running_.begin(), running_.end(), victim));
   insert_waiting(victim);
@@ -403,13 +403,14 @@ GuardedExecutor ContinuousScheduler::make_step_executor(
 void ContinuousScheduler::absorb_report(GenerationSession& session,
                                         ModelReport report,
                                         double service_us) {
-  session.op_executions += report.executions();
-  session.alarm_events += report.alarm_events();
-  session.fallback_ops += report.fallback_ops();
+  ProtectionCounters& counters = session.counters;
+  counters.op_executions += report.executions();
+  counters.alarm_events += report.alarm_events();
+  counters.fallback_ops += report.fallback_ops();
+  counters.dmr_compares += report.dmr_compares();
+  counters.dmr_mismatches += report.dmr_mismatches();
   session.recovered_ops += report.recovered_ops();
-  session.dmr_compares += report.dmr_compares();
-  session.dmr_mismatches += report.dmr_mismatches();
-  if (report.escalated_ops() > 0) telemetry_.on_escalation();
+  if (report.escalated_ops() > 0) telemetry_.add(Counter::escalations);
   session.checksum_clean =
       session.checksum_clean && report.all_accepted_clean();
   std::vector<OpReport> flat = report.flatten();
@@ -427,7 +428,7 @@ void ContinuousScheduler::absorb_control(GenerationSession& session,
 }
 
 bool ContinuousScheduler::verify_meta(GenerationSession& session) {
-  ++session.meta_verifies;
+  ++session.counters.meta_verifies;
   LayerReport report;
   const bool clean = guarded_meta_verify(session.meta, /*index=*/0,
                                          control_executor_, report);
@@ -455,7 +456,7 @@ bool ContinuousScheduler::absorb_step(GenerationSession& session,
 
 void ContinuousScheduler::decode_tick() {
   if (running_.empty()) return;
-  obs::TraceSpan sweep_span(cfg_.trace, "decode-batch", "sched");
+  obs::TraceSpan sweep_span(cfg_.obs.trace, "decode-batch", "sched");
 
   // Latent-fault windows: a session whose next step carries a latent
   // corruption takes the upset NOW, then sits out `latent_idle_ticks`
@@ -665,9 +666,11 @@ void ContinuousScheduler::decode_tick() {
   }
   const double share_us =
       to_us(Clock::now() - start) / double(advancing.size());
-  telemetry_.on_scheduler_tick(advancing.size());
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->instant_arg("decode-batch-size", advancing.size(), "sched");
+  telemetry_.add(Counter::scheduler_ticks);
+  telemetry_.add(Counter::scheduled_steps, advancing.size());
+  if (cfg_.obs.trace != nullptr) {
+    cfg_.obs.trace->instant_arg("decode-batch-size", advancing.size(),
+                                "sched");
   }
   for (std::size_t i = 0; i < advancing.size(); ++i) {
     GenerationSession* session = advancing[i];
@@ -693,22 +696,12 @@ void ContinuousScheduler::finalize(GenerationSession* session) {
                           ? to_us(Clock::now() - session->enqueue_time)
                           : session->service_us;
   response.reports = std::move(session->all_reports);
-  response.op_executions = session->op_executions;
-  response.alarm_events = session->alarm_events;
-  response.fallback_ops = session->fallback_ops;
+  response.counters = session->counters;
   response.checksum_clean = session->checksum_clean;
   response.preemptions = session->preemptions;
   response.resumes = session->resumes;
   response.prefix_cached_tokens = session->prefix_cached_tokens;
-  response.meta_verifies = session->meta_verifies;
-  response.scrub_faults_found = session->scrub_faults_found;
-  response.scrub_repairs = session->scrub_repairs;
-  response.dmr_compares = session->dmr_compares;
-  response.dmr_mismatches = session->dmr_mismatches;
-  response.path = session->fallback_ops > 0 ? ServePath::kFallbackReference
-                  : session->recovered_ops > 0
-                      ? ServePath::kGuardedRecovered
-                      : ServePath::kGuardedClean;
+  response.path = session->path();
   pool_.free_session(*session->paged);
   publish_page_usage();
   telemetry_.on_response(response);
@@ -728,24 +721,30 @@ void ContinuousScheduler::fail(GenerationSession* session,
 void ContinuousScheduler::publish_page_usage() {
   // Registered-but-unmapped shared pages are cache, not live occupancy:
   // the allocator reclaims them on demand, so they are reported as free.
-  telemetry_.set_page_usage(pool_.pages_in_use() - pool_.evictable_pages(),
-                            pool_.num_pages(), pool_.peak_pages_in_use());
+  telemetry_.set(Counter::pages_in_use,
+                 pool_.pages_in_use() - pool_.evictable_pages());
+  telemetry_.set(Counter::pages_total, pool_.num_pages());
+  telemetry_.set(Counter::peak_pages_in_use, pool_.peak_pages_in_use());
   const PrefixCacheStats prefix = pool_.prefix_stats();
-  telemetry_.set_prefix(prefix.hits, prefix.misses, prefix.hit_tokens,
-                        prefix.cow_forks, prefix.evictions,
-                        prefix.shared_heals, pool_.shared_pages(),
-                        pool_.evictable_pages());
+  telemetry_.set(Counter::prefix_hits, prefix.hits);
+  telemetry_.set(Counter::prefix_misses, prefix.misses);
+  telemetry_.set(Counter::prefix_hit_tokens, prefix.hit_tokens);
+  telemetry_.set(Counter::prefix_cow_forks, prefix.cow_forks);
+  telemetry_.set(Counter::prefix_evictions, prefix.evictions);
+  telemetry_.set(Counter::shared_heals, prefix.shared_heals);
+  telemetry_.set(Counter::shared_pages, pool_.shared_pages());
+  telemetry_.set(Counter::evictable_pages, pool_.evictable_pages());
   // CoW forks and shared-page heals happen inside the pool; surface them as
   // counter deltas at this publish boundary (one event per occurrence).
   for (; seen_cow_forks_ < prefix.cow_forks; ++seen_cow_forks_) {
-    if (cfg_.trace != nullptr) {
-      cfg_.trace->instant_arg("cow-fork", seen_cow_forks_ + 1, "sched");
+    if (cfg_.obs.trace != nullptr) {
+      cfg_.obs.trace->instant_arg("cow-fork", seen_cow_forks_ + 1, "sched");
     }
   }
   for (; seen_shared_heals_ < prefix.shared_heals; ++seen_shared_heals_) {
-    if (cfg_.flight != nullptr) {
-      cfg_.flight->record(obs::FlightEventKind::kHealEpoch, "kv_pool",
-                          "shared_page", seen_shared_heals_ + 1);
+    if (cfg_.obs.flight != nullptr) {
+      cfg_.obs.flight->record(obs::FlightEventKind::kHealEpoch, "kv_pool",
+                              "shared_page", seen_shared_heals_ + 1);
     }
   }
 }
@@ -769,7 +768,7 @@ std::vector<scrub::ScrubItem> ContinuousScheduler::scrub_items() {
         return scrub::ItemOutcome::kClean;
       }
       for (GenerationSession* session : running_) {
-        ++session->scrub_faults_found;
+        ++session->counters.scrub_faults_found;
         LayerReport copy;
         for (const OpReport& op : report.ops) copy.ops.push_back(op);
         absorb_control(*session, std::move(copy));
@@ -783,8 +782,10 @@ std::vector<scrub::ScrubItem> ContinuousScheduler::scrub_items() {
     if (recovery == RecoveryStatus::kCleanFirstTry) {
       return scrub::ItemOutcome::kClean;
     }
-    ++session.scrub_faults_found;
-    if (recovery == RecoveryStatus::kRecovered) ++session.scrub_repairs;
+    ++session.counters.scrub_faults_found;
+    if (recovery == RecoveryStatus::kRecovered) {
+      ++session.counters.scrub_repairs;
+    }
     absorb_control(session, std::move(report));
     return recovery == RecoveryStatus::kRecovered
                ? scrub::ItemOutcome::kRepaired
@@ -842,8 +843,11 @@ void ContinuousScheduler::scrub_slice() {
   if (scrubber_ == nullptr) return;
   scrubber_->run_tick();
   const scrub::ScrubStats& stats = scrubber_->stats();
-  telemetry_.set_scrub(stats.passes, stats.items_scrubbed, stats.faults_found,
-                       stats.repairs, stats.unrepairable);
+  telemetry_.set(Counter::scrub_passes, stats.passes);
+  telemetry_.set(Counter::scrub_items, stats.items_scrubbed);
+  telemetry_.set(Counter::scrub_faults_found, stats.faults_found);
+  telemetry_.set(Counter::scrub_repairs, stats.repairs);
+  telemetry_.set(Counter::scrub_unrepairable, stats.unrepairable);
 }
 
 }  // namespace flashabft::serve

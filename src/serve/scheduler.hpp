@@ -116,9 +116,9 @@ struct SchedulerConfig {
   std::size_t scrub_budget = 1;
   /// Non-owning observability taps (the server copies its own here): tick /
   /// admission / prefill / decode-batch spans go to `trace`; preemptions,
-  /// resumes, CoW forks and shared-page heal epochs to `flight`. Null = off.
-  obs::TraceCollector* trace = nullptr;
-  obs::FlightRecorder* flight = nullptr;
+  /// resumes, CoW forks and shared-page heal epochs to `flight`. The
+  /// scrubber gets the same hooks. Null = off.
+  obs::ObsHooks obs{};
 };
 
 /// The continuous-batching engine. Owned by the server; constructed lazily

@@ -55,6 +55,10 @@ InferenceServer::InferenceServer(ServerConfig config)
   config_.layer.dtype = config_.dtype;
   config_.model.dtype = config_.dtype;
   telemetry_.set_compute(config_.compute);
+  // Every executor this server builds and the scheduler share one hook
+  // set: the caller's trace/flight taps plus the telemetry's always-on
+  // guard-phase profiler.
+  obs_ = {config_.trace, config_.flight, telemetry_.op_profiler()};
   workers_.reserve(config_.num_workers);
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
     workers_.push_back(
@@ -112,8 +116,7 @@ ContinuousScheduler& InferenceServer::scheduler() {
     }
     // The server's observability taps ride into the scheduler's own emit
     // sites (tick spans, preemption/resume flight events).
-    cfg.trace = config_.trace;
-    cfg.flight = config_.flight;
+    cfg.obs = obs_;
     scheduler_ = std::make_unique<ContinuousScheduler>(
         cfg, model(), executor_options(), sessions_, telemetry_);
   });
@@ -179,7 +182,7 @@ std::future<ServeResponse> InferenceServer::submit(ServeRequest request) {
   // Counted before the push: once queued, a worker can complete the request
   // (and bump `completed`) before this thread resumes, and a concurrent
   // snapshot must never see completed > submitted.
-  telemetry_.on_submit();
+  telemetry_.add(Counter::submitted);
   if (std::holds_alternative<GenerationWork>(pending.request.work)) {
     // Generation sessions bypass the worker queue — admission control is
     // the SessionTable, backpressure the paged pool.
@@ -188,7 +191,7 @@ std::future<ServeResponse> InferenceServer::submit(ServeRequest request) {
   }
   const bool accepted = queue_.push(std::move(pending));
   if (!accepted) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::rejected);
     FLASHABFT_ENSURE_MSG(false, "server shut down while submitting");
   }
   return future;
@@ -197,12 +200,12 @@ std::future<ServeResponse> InferenceServer::submit(ServeRequest request) {
 SubmitResult InferenceServer::try_submit(ServeRequest request,
                                          std::future<ServeResponse>& out) {
   if (shut_down_.load(std::memory_order_acquire)) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::rejected);
     return SubmitResult::kShutDown;
   }
   Pending pending = make_pending(std::move(request));
   std::future<ServeResponse> future = pending.promise.get_future();
-  telemetry_.on_submit();  // before the push — see submit().
+  telemetry_.add(Counter::submitted);  // before the push — see submit().
   if (std::holds_alternative<GenerationWork>(pending.request.work)) {
     // The request is accepted and a table-full shed fails its future
     // (counted as a rejection).
@@ -211,7 +214,7 @@ SubmitResult InferenceServer::try_submit(ServeRequest request,
     return SubmitResult::kAccepted;
   }
   if (!queue_.try_push(std::move(pending))) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::rejected);
     // try_push fails for a full queue or a closed one; a close racing this
     // call must surface as the typed shutdown reason, not as load shedding.
     return queue_.closed() ? SubmitResult::kShutDown
@@ -242,7 +245,7 @@ void InferenceServer::admit_continuous(Pending pending) {
   try {
     engine = &scheduler();
   } catch (...) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::rejected);
     throw;
   }
   std::unique_ptr<GenerationSession> session =
@@ -251,20 +254,20 @@ void InferenceServer::admit_continuous(Pending pending) {
   if (!engine->admit(session, admission)) {
     // Shutdown already decided the drain: admitting now would orphan the
     // session's future, so it fails like a closed-queue submit.
-    telemetry_.on_reject();
+    telemetry_.add(Counter::rejected);
     session->promise.set_exception(std::make_exception_ptr(
         EnsureError("server shut down while submitting")));
     return;
   }
   if (admission.shed != nullptr) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::rejected);
     admission.shed->promise.set_exception(std::make_exception_ptr(
         EnsureError("generation session load-shed: session table full")));
     return;
   }
-  // on_session_start is the scheduler thread's to emit (it must precede
+  // sessions_started is the scheduler thread's to count (it must precede
   // on_session_complete, and the session may already be running).
-  if (admission.parked) telemetry_.on_session_parked();
+  if (admission.parked) telemetry_.add(Counter::sessions_parked);
 }
 
 void InferenceServer::set_worker_defect(std::size_t worker_id,
@@ -292,7 +295,7 @@ void InferenceServer::worker_loop(Worker& worker) {
   while (true) {
     std::vector<Pending> batch = form_batch(queue_, config_.batching);
     if (batch.empty()) return;  // queue closed and drained.
-    telemetry_.on_batch();
+    telemetry_.add(Counter::batches);
     for (Pending& pending : batch) {
       // A malformed request (e.g. head shapes that don't match the
       // accelerator) must fail its own future, not escape the thread and
@@ -325,12 +328,7 @@ GuardedExecutor::Options InferenceServer::executor_options() const {
     options.tolerances = derive_tolerances(
         config_.dtype, tolerance_shape_for(config_.model));
   }
-  // Every executor this server builds feeds the telemetry's always-on
-  // guard-phase profiler; trace/flight taps ride along when the caller
-  // attached them to the config.
-  options.obs.trace = config_.trace;
-  options.obs.flight = config_.flight;
-  options.obs.profiler = telemetry_.op_profiler();
+  options.obs = obs_;
   return options;
 }
 
@@ -402,13 +400,13 @@ void InferenceServer::execute_attention(Worker& worker,
   if (bypass) {
     // Breaker open: this worker's accelerator is a persistent-defect
     // suspect; serve the whole layer from the reference kernel.
-    telemetry_.on_breaker_bypass();
+    telemetry_.add(Counter::breaker_bypasses);
     WorklistResult served =
         executor.run_all_fallback(head_count, cost_per_head, reference_one);
     response.path = ServePath::kFallbackReference;
     response.outputs = std::move(served.outputs);
     response.reports = std::move(served.reports);
-    response.fallback_ops = served.fallback_ops;
+    response.counters.fallback_ops = served.fallback_ops;
     response.checksum_clean = served.all_clean;
     return;
   }
@@ -452,17 +450,17 @@ void InferenceServer::execute_attention(Worker& worker,
 
   if (served.escalated) {
     // Retries exhausted on this device: persistent-fault suspect.
-    telemetry_.on_escalation();
+    telemetry_.add(Counter::escalations);
     bool tripped;
     {
       std::lock_guard lock(worker.breaker_mutex);
       tripped = worker.breaker.record_escalation();
     }
     if (tripped) {
-      telemetry_.on_breaker_trip();
-      if (config_.flight != nullptr) {
-        config_.flight->record(obs::FlightEventKind::kBreakerTrip, "server",
-                               "worker", worker.id);
+      telemetry_.add(Counter::breaker_trips);
+      if (obs_.flight != nullptr) {
+        obs_.flight->record(obs::FlightEventKind::kBreakerTrip, "server",
+                            "worker", worker.id);
       }
     }
     response.path = ServePath::kFallbackReference;
@@ -476,9 +474,9 @@ void InferenceServer::execute_attention(Worker& worker,
   }
   response.outputs = std::move(served.outputs);
   response.reports = std::move(served.reports);
-  response.op_executions = served.executions;
-  response.alarm_events = served.alarm_events;
-  response.fallback_ops = served.fallback_ops;
+  response.counters.op_executions = served.executions;
+  response.counters.alarm_events = served.alarm_events;
+  response.counters.fallback_ops = served.fallback_ops;
   response.checksum_clean = served.all_clean;
 }
 
@@ -493,9 +491,10 @@ void InferenceServer::execute_layer(const LayerWork& work,
       layer().forward(work.x, work.memory, AttentionBackend::kFlashAbft,
                       executor);
   response.outputs.push_back(std::move(out.output));
-  response.op_executions = out.report.executions();
-  response.alarm_events = out.report.alarm_events();
-  response.fallback_ops = out.report.count(OpKind::kReferenceFallback);
+  response.counters.op_executions = out.report.executions();
+  response.counters.alarm_events = out.report.alarm_events();
+  response.counters.fallback_ops =
+      out.report.count(OpKind::kReferenceFallback);
   response.checksum_clean = out.report.all_accepted_clean();
   bool recovered = false;
   bool escalated = false;
@@ -507,10 +506,11 @@ void InferenceServer::execute_layer(const LayerWork& work,
   // Same per-request semantics as the attention path's worklist: a layer
   // with any retries-exhausted op counts one escalation (the breaker is
   // not fed — the software path never touched this worker's device).
-  if (escalated) telemetry_.on_escalation();
-  response.path = response.fallback_ops > 0 ? ServePath::kFallbackReference
-                  : recovered               ? ServePath::kGuardedRecovered
-                                            : ServePath::kGuardedClean;
+  if (escalated) telemetry_.add(Counter::escalations);
+  response.path = response.counters.fallback_ops > 0
+                      ? ServePath::kFallbackReference
+                  : recovered ? ServePath::kGuardedRecovered
+                              : ServePath::kGuardedClean;
   response.reports = std::move(out.report.ops);
 }
 

@@ -44,6 +44,7 @@
 #include "core/guarded_op.hpp"
 #include "model/decoder_layer.hpp"
 #include "model/transformer_model.hpp"
+#include "obs/hooks.hpp"
 #include "serve/batch_former.hpp"
 #include "serve/circuit_breaker.hpp"
 #include "serve/request.hpp"
@@ -220,6 +221,7 @@ class InferenceServer {
   ServerConfig config_;
   BoundedMpmcQueue<Pending> queue_;
   ServeTelemetry telemetry_;
+  obs::ObsHooks obs_;  ///< config taps + the telemetry profiler.
   SessionTable sessions_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::uint64_t> next_auto_id_{1};

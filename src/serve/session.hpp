@@ -99,15 +99,6 @@ struct GenerationSession {
   /// step counter has not advanced).
   std::size_t latent_step_done = 0;
 
-  // Scrub attribution: latent faults the scrubber found/healed on this
-  // session's pages, tables and metadata.
-  std::size_t scrub_faults_found = 0;
-  std::size_t scrub_repairs = 0;
-  std::size_t meta_verifies = 0;  ///< sealed-metadata checks executed.
-  // Dual-modular glue accounting, accumulated across steps.
-  std::size_t dmr_compares = 0;
-  std::size_t dmr_mismatches = 0;
-
   Clock::time_point enqueue_time{};
   double queue_us = 0.0;    ///< admission -> first execution.
   double service_us = 0.0;  ///< accumulated per-step compute time.
@@ -115,9 +106,9 @@ struct GenerationSession {
 
   /// Accumulated OpReport stream of every step (telemetry's view).
   std::vector<OpReport> all_reports;
-  std::size_t op_executions = 0;
-  std::size_t alarm_events = 0;
-  std::size_t fallback_ops = 0;
+  /// Protection accounting across every step, control-plane verify and
+  /// scrub finding attributed to this session (copied into the response).
+  ProtectionCounters counters;
   std::size_t recovered_ops = 0;
   bool checksum_clean = true;
 
@@ -125,6 +116,12 @@ struct GenerationSession {
 
   [[nodiscard]] bool done() const {
     return meta.value().tokens.size() >= meta.value().max_new_tokens;
+  }
+  /// How the session's accepted outputs were produced, so far.
+  [[nodiscard]] ServePath path() const {
+    return counters.fallback_ops > 0 ? ServePath::kFallbackReference
+           : recovered_ops > 0       ? ServePath::kGuardedRecovered
+                                     : ServePath::kGuardedClean;
   }
 };
 

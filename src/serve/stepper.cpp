@@ -32,12 +32,10 @@ std::vector<SteppedSession> run_stepped(const TransformerModel& model,
   // The full scrub walk every tick: a latent fault is found in the tick
   // it lands, whatever the walk's length.
   scfg.scrub_budget = 0;
-  scfg.trace = cfg.trace;
-  scfg.flight = cfg.flight;
+  scfg.obs = cfg.obs;
+  scfg.obs.profiler = telemetry.op_profiler();
   GuardedExecutor::Options exec_options = cfg.executor_options;
-  exec_options.obs.trace = cfg.trace;
-  exec_options.obs.flight = cfg.flight;
-  exec_options.obs.profiler = telemetry.op_profiler();
+  exec_options.obs = scfg.obs;
   ContinuousScheduler scheduler(scfg, model, exec_options, table,
                                 telemetry);
 
@@ -70,9 +68,9 @@ std::vector<SteppedSession> run_stepped(const TransformerModel& model,
   std::size_t ticks = 0;
   while (scheduler.run_tick()) {
     if (++ticks > max_ticks) {
-      if (cfg.flight != nullptr) {
-        cfg.flight->record(obs::FlightEventKind::kHang, "stepper",
-                           "tick_budget", ticks - 1);
+      if (cfg.obs.flight != nullptr) {
+        cfg.obs.flight->record(obs::FlightEventKind::kHang, "stepper",
+                               "tick_budget", ticks - 1);
       }
       scheduler.abort_all("tick budget exceeded");
       break;
@@ -88,14 +86,7 @@ std::vector<SteppedSession> run_stepped(const TransformerModel& model,
       result.tokens = std::move(response.tokens);
       result.final_logits = std::move(response.final_logits);
       result.path = response.path;
-      result.op_executions = response.op_executions;
-      result.alarm_events = response.alarm_events;
-      result.fallback_ops = response.fallback_ops;
-      result.meta_verifies = response.meta_verifies;
-      result.scrub_faults_found = response.scrub_faults_found;
-      result.scrub_repairs = response.scrub_repairs;
-      result.dmr_compares = response.dmr_compares;
-      result.dmr_mismatches = response.dmr_mismatches;
+      result.counters = response.counters;
       result.checksum_clean = response.checksum_clean;
     } catch (const std::exception& e) {
       result.failed = true;

@@ -29,14 +29,7 @@ struct SteppedSession {
   std::vector<std::size_t> tokens;   ///< generated ids (prompt excluded).
   std::vector<double> final_logits;  ///< last step's next-token logits.
   ServePath path = ServePath::kGuardedClean;
-  std::size_t op_executions = 0;
-  std::size_t alarm_events = 0;
-  std::size_t fallback_ops = 0;
-  std::size_t meta_verifies = 0;       ///< sealed-record boundary checks.
-  std::size_t scrub_faults_found = 0;  ///< latent faults the scrub caught.
-  std::size_t scrub_repairs = 0;       ///< of those, healed before the read.
-  std::size_t dmr_compares = 0;
-  std::size_t dmr_mismatches = 0;
+  ProtectionCounters counters;  ///< the response's, unchanged.
   bool checksum_clean = true;
   bool failed = false;  ///< the engine failed the session.
   bool hang = false;    ///< the tick watchdog fired (implies failed).
@@ -59,12 +52,11 @@ struct StepperConfig {
   /// crash/hang outcome class.
   std::size_t max_ticks = 0;
   /// Non-owning observability taps, threaded into the executors and the
-  /// scheduler's own emit sites. The watchdog firing
-  /// records a kHang flight event, so a crash/hang trial's dump ends with
-  /// the wedge itself. The stepper's internal telemetry profiler is always
-  /// on — `telemetry_out->timing` carries the per-OpKind phase histograms.
-  obs::TraceCollector* trace = nullptr;
-  obs::FlightRecorder* flight = nullptr;
+  /// scheduler's own emit sites. The watchdog firing records a kHang flight
+  /// event, so a crash/hang trial's dump ends with the wedge itself. The
+  /// profiler slot is always the stepper's internal telemetry profiler —
+  /// `telemetry_out->timing` carries the per-OpKind phase histograms.
+  obs::ObsHooks obs{};
 };
 
 /// Drives every work item to completion on the calling thread, one

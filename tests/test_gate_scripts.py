@@ -7,9 +7,11 @@ synthetic BENCH_faults.json files — the pass path, every regression class
 floor slip, scrub-attribution slip) must exit 1, and a config mismatch
 must refuse the comparison with exit 2 — plus bench/check_regression.py
 (config mismatch, the ABFT-overhead rise gate, the tracing-cost pair
-gate) and bench/check_trace.py (trace schema: B/E stack discipline,
-monotonic timestamps, required names; flight dumps: event grammar and
-the forced-crash_hang subsystem header). A gate that silently passes
+gate, zero-counter-free candidates) and bench/check_trace.py (trace
+schema: B/E stack discipline, monotonic timestamps, required names;
+flight dumps: event grammar and the forced-crash_hang subsystem header;
+Prometheus text: one HELP/TYPE per family, declared samples, cumulative
+histograms). A gate that silently passes
 regressed candidates is worse than no gate, so the gates are tested
 like any other code.
 
@@ -345,6 +347,27 @@ class GateScriptTest(unittest.TestCase):
                 scenario("continuous generation (tracing on)",
                          on_tokens_per_sec)]
 
+    def test_candidate_without_zero_counters_compares_cleanly(self):
+        # serve_throughput writes only the non-zero telemetry counters, so
+        # a fault-free candidate lacks keys like "alarm_events" that an
+        # older baseline carries as 0; the gate must treat the two alike.
+        base_scenario = self.overhead_scenario(2.0)
+        base_scenario.update({"alarm_events": 0, "recovered": 0,
+                              "fallback": 0, "escalations": 0,
+                              "checksum_dirty": 0, "scrub_repairs": 0,
+                              "op_executions": 240})
+        cand_scenario = self.overhead_scenario(2.0)
+        cand_scenario["op_executions"] = 240
+        base = regression_report(seed=2026)
+        base["scenarios"] = [base_scenario]
+        cand = regression_report(seed=2026)
+        cand["scenarios"] = [cand_scenario]
+        result = self.run_gate("check_regression.py",
+                               self.write("base.json", base),
+                               self.write("cand.json", cand))
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("perf regression check passed", result.stdout)
+
     def test_tracing_cost_above_budget_fails(self):
         cand = regression_report(seed=2026)
         cand["scenarios"] = self.tracing_pair(300.0)  # 25% tracing cost.
@@ -471,6 +494,82 @@ class TraceGateTest(unittest.TestCase):
         result = self.run_trace_gate("--flight", path)
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("unparseable", result.stdout)
+
+    # --- check_trace.py --prom ----------------------------------------
+
+    GOOD_PROM = (
+        "# HELP flashabft_requests_completed_total responses delivered\n"
+        "# TYPE flashabft_requests_completed_total counter\n"
+        "flashabft_requests_completed_total 16\n"
+        "# HELP flashabft_pages_in_use KV pool pages allocated now\n"
+        "# TYPE flashabft_pages_in_use gauge\n"
+        "flashabft_pages_in_use 0\n"
+        "# HELP flashabft_op_checks_total guarded ops reported, by kind\n"
+        "# TYPE flashabft_op_checks_total counter\n"
+        'flashabft_op_checks_total{kind="ffn"} 96\n'
+        "# HELP flashabft_guard_phase_duration_seconds per-sample guard "
+        "phase durations\n"
+        "# TYPE flashabft_guard_phase_duration_seconds histogram\n"
+        'flashabft_guard_phase_duration_seconds_bucket{kind="ffn",'
+        'phase="verify",le="1.024e-06"} 3\n'
+        'flashabft_guard_phase_duration_seconds_bucket{kind="ffn",'
+        'phase="verify",le="2.048e-06"} 7\n'
+        'flashabft_guard_phase_duration_seconds_bucket{kind="ffn",'
+        'phase="verify",le="+Inf"} 7\n'
+        'flashabft_guard_phase_duration_seconds_sum{kind="ffn",'
+        'phase="verify"} 1.1e-05\n'
+        'flashabft_guard_phase_duration_seconds_count{kind="ffn",'
+        'phase="verify"} 7\n')
+
+    def run_prom_gate(self, text):
+        return self.run_trace_gate("--prom",
+                                   self.write_text("metrics.txt", text))
+
+    def test_well_formed_prometheus_passes(self):
+        result = self.run_prom_gate(self.GOOD_PROM)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("prometheus ok", result.stdout)
+
+    def test_duplicate_help_fails(self):
+        text = self.GOOD_PROM.replace(
+            "# TYPE flashabft_pages_in_use gauge\n",
+            "# HELP flashabft_pages_in_use again\n"
+            "# TYPE flashabft_pages_in_use gauge\n")
+        result = self.run_prom_gate(text)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("2 HELP", result.stdout)
+
+    def test_family_without_type_fails(self):
+        text = self.GOOD_PROM.replace(
+            "# TYPE flashabft_pages_in_use gauge\n", "")
+        result = self.run_prom_gate(text)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("0 TYPE", result.stdout)
+
+    def test_undeclared_sample_fails(self):
+        result = self.run_prom_gate(self.GOOD_PROM +
+                                    "flashabft_stray_total 3\n")
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("no declared family", result.stdout)
+
+    def test_non_cumulative_buckets_fail(self):
+        text = self.GOOD_PROM.replace('le="2.048e-06"} 7', 'le="2.048e-06"} 2')
+        result = self.run_prom_gate(text)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("not cumulative", result.stdout)
+
+    def test_histogram_without_inf_bucket_fails(self):
+        lines = [line for line in self.GOOD_PROM.splitlines()
+                 if 'le="+Inf"' not in line]
+        result = self.run_prom_gate("\n".join(lines) + "\n")
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("not +Inf", result.stdout)
+
+    def test_histogram_count_mismatch_fails(self):
+        text = self.GOOD_PROM.replace('phase="verify"} 7', 'phase="verify"} 9')
+        result = self.run_prom_gate(text)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("_count 9.0 != +Inf bucket 7.0", result.stdout)
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ TEST(Scheduler, ContinuousSessionMatchesModelGenerate) {
   EXPECT_GT(response.ttft_us, 0.0);
   EXPECT_GE(response.total_us, response.ttft_us);
   EXPECT_EQ(response.preemptions, 0u);
-  EXPECT_EQ(response.alarm_events, 0u);
+  EXPECT_EQ(response.counters.alarm_events, 0u);
   // Each decode step verifies every layer's pages + mapping (kKvPage); the
   // contiguous cache's kKvCache op never appears in served traffic.
   EXPECT_EQ(count_kind(response, OpKind::kKvPage),
@@ -209,7 +209,7 @@ TEST(Scheduler, KvPageDoubleFaultDrillDuringPreemptionCycle) {
     EXPECT_EQ(response.tokens, golden[i]) << "session " << i;
     if (i == 0) {
       EXPECT_EQ(response.path, ServePath::kGuardedRecovered);
-      EXPECT_EQ(response.fallback_ops, 0u);
+      EXPECT_EQ(response.counters.fallback_ops, 0u);
       // Attribution: the alarm is a kKvPage op indexed by the faulted
       // layer, inside the faulted session's own report stream.
       bool attributed = false;
@@ -280,7 +280,7 @@ TEST(Scheduler, PersistentStepFaultEscalatesToVerifiedFallback) {
     const ServeResponse response = server.submit(std::move(faulty)).get();
     EXPECT_EQ(response.path, ServePath::kFallbackReference) << step;
     EXPECT_TRUE(response.checksum_clean);  // fallback verified clean.
-    EXPECT_EQ(response.fallback_ops, 1u);
+    EXPECT_EQ(response.counters.fallback_ops, 1u);
     EXPECT_EQ(response.tokens, golden.tokens);
     const TelemetrySnapshot s = server.telemetry().snapshot();
     EXPECT_EQ(s.per_kind[std::size_t(OpKind::kProjection)].escalated, 1u);

@@ -341,13 +341,13 @@ TEST(InlineScrub, ThreadedServerHealsALatentUpsetAndServesCleanSessions) {
     const serve::ServeResponse response = futures[i].get();
     EXPECT_TRUE(response.checksum_clean) << i;
     EXPECT_EQ(response.tokens.size(), 5u) << i;
-    EXPECT_GT(response.meta_verifies, 0u) << i;
-    EXPECT_GT(response.dmr_compares, 0u) << i;
+    EXPECT_GT(response.counters.meta_verifies, 0u) << i;
+    EXPECT_GT(response.counters.dmr_compares, 0u) << i;
     if (i == 0) {
-      EXPECT_GE(response.scrub_faults_found, 1u);
-      EXPECT_GE(response.scrub_repairs, 1u);
+      EXPECT_GE(response.counters.scrub_faults_found, 1u);
+      EXPECT_GE(response.counters.scrub_repairs, 1u);
     } else {
-      EXPECT_EQ(response.scrub_faults_found, 0u) << i;
+      EXPECT_EQ(response.counters.scrub_faults_found, 0u) << i;
     }
   }
   server.shutdown();
@@ -412,16 +412,19 @@ TEST(ScrubDeterminism, LatentTrialsReplayTickForTick) {
   // The scrubber found and healed the dormant upset before any decode
   // read, so the session completes with golden-identical tokens...
   EXPECT_FALSE(first[0].failed) << first[0].error;
-  EXPECT_GT(first[0].scrub_faults_found, 0u);
-  EXPECT_GT(first[0].scrub_repairs, 0u);
-  EXPECT_EQ(first[1].scrub_faults_found, 0u);  // untouched neighbor.
+  EXPECT_GT(first[0].counters.scrub_faults_found, 0u);
+  EXPECT_GT(first[0].counters.scrub_repairs, 0u);
+  EXPECT_EQ(first[1].counters.scrub_faults_found, 0u);  // untouched neighbor.
   // ...and identically on every replay (the campaign's contract).
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].tokens, second[i].tokens);
     EXPECT_EQ(first[i].final_logits, second[i].final_logits);
-    EXPECT_EQ(first[i].scrub_faults_found, second[i].scrub_faults_found);
-    EXPECT_EQ(first[i].scrub_repairs, second[i].scrub_repairs);
-    EXPECT_EQ(first[i].meta_verifies, second[i].meta_verifies);
+    EXPECT_EQ(first[i].counters.scrub_faults_found,
+              second[i].counters.scrub_faults_found);
+    EXPECT_EQ(first[i].counters.scrub_repairs,
+              second[i].counters.scrub_repairs);
+    EXPECT_EQ(first[i].counters.meta_verifies,
+              second[i].counters.meta_verifies);
   }
 
   // Clean works through the same engine: the tokens match the corrupted
@@ -429,7 +432,7 @@ TEST(ScrubDeterminism, LatentTrialsReplayTickForTick) {
   std::vector<serve::GenerationWork> clean = {latent_work(5), latent_work(9)};
   const auto golden = serve::run_stepped(model, clean, cfg);
   EXPECT_EQ(golden[0].tokens, first[0].tokens);
-  EXPECT_EQ(golden[0].scrub_faults_found, 0u);
+  EXPECT_EQ(golden[0].counters.scrub_faults_found, 0u);
 }
 
 }  // namespace

@@ -50,8 +50,8 @@ serve::StepperConfig stepper_config(const CampaignConfig& cfg) {
 // The campaign's per-session "alarmed" observable: any guarded-op alarm,
 // fallback, dirty checksum verify, or non-clean serve path.
 bool session_alarmed(const serve::SteppedSession& s) {
-  return s.alarm_events > 0 || s.fallback_ops > 0 || !s.checksum_clean ||
-         s.path != serve::ServePath::kGuardedClean;
+  return s.counters.alarm_events > 0 || s.counters.fallback_ops > 0 ||
+         !s.checksum_clean || s.path != serve::ServePath::kGuardedClean;
 }
 
 // --- Outcome classification -------------------------------------------
@@ -180,13 +180,13 @@ TEST(Stepper, SessionTokenTamperIsDetectedAndRepaired) {
       serve::run_stepped(model, tampered, stepper_config(cfg));
   ASSERT_FALSE(faulty[0].failed) << faulty[0].error;
   EXPECT_TRUE(session_alarmed(faulty[0]));
-  EXPECT_GT(faulty[0].meta_verifies, 0u);
+  EXPECT_GT(faulty[0].counters.meta_verifies, 0u);
   EXPECT_EQ(faulty[0].tokens, golden[0].tokens);
   EXPECT_EQ(classify_trial(false, true, false),
             TrialOutcome::kDetectedCorrected);
   // A clean run pays the verifies but keeps a clean op stream.
-  EXPECT_GT(golden[0].meta_verifies, 0u);
-  EXPECT_EQ(golden[0].alarm_events, 0u);
+  EXPECT_GT(golden[0].counters.meta_verifies, 0u);
+  EXPECT_EQ(golden[0].counters.alarm_events, 0u);
 }
 
 TEST(Stepper, BudgetTamperShrinksAndTerminates) {

@@ -1,8 +1,12 @@
 // Tests of the serving components around the server core: batch forming,
-// the circuit breaker, and telemetry percentiles/counters.
+// the circuit breaker, telemetry percentiles/counters and the counter
+// table every telemetry renderer is generated from.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -169,8 +173,8 @@ TEST(Telemetry, CountersReconcileAcrossPaths) {
     ServeResponse r;
     r.path = path;
     r.checksum_clean = clean;
-    r.alarm_events = alarms;
-    r.op_executions = 2;
+    r.counters.alarm_events = alarms;
+    r.counters.op_executions = 2;
     r.total_us = 100.0;
     OpReport op;
     op.kind = OpKind::kAttentionFlashAbft;
@@ -181,13 +185,13 @@ TEST(Telemetry, CountersReconcileAcrossPaths) {
     r.reports.push_back(op);
     return r;
   };
-  telemetry.on_submit();
-  telemetry.on_submit();
-  telemetry.on_submit();
-  telemetry.on_batch();
+  telemetry.add(Counter::submitted);
+  telemetry.add(Counter::submitted);
+  telemetry.add(Counter::submitted);
+  telemetry.add(Counter::batches);
   telemetry.on_response(response(ServePath::kGuardedClean, true, 0));
   telemetry.on_response(response(ServePath::kGuardedRecovered, true, 1));
-  telemetry.on_escalation();
+  telemetry.add(Counter::escalations);
   telemetry.on_response(response(ServePath::kFallbackReference, true, 3));
 
   const TelemetrySnapshot s = telemetry.snapshot();
@@ -208,6 +212,113 @@ TEST(Telemetry, CountersReconcileAcrossPaths) {
   EXPECT_DOUBLE_EQ(s.total_p50_us, 100.0);
   EXPECT_GT(s.throughput_rps(2.0), 0.0);
   EXPECT_FALSE(s.render(1.0).empty());
+}
+
+// --- counter table ---
+
+/// Lines of `text` starting with `prefix`.
+std::vector<std::string> lines_with_prefix(const std::string& text,
+                                           const std::string& prefix) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) == 0) out.push_back(line);
+  }
+  return out;
+}
+
+TEST(CounterTable, NamesAndFamiliesAreUnique) {
+  std::set<std::string> names, families, labels;
+  for (const CounterDescriptor& counter : kCounterTable) {
+    EXPECT_TRUE(names.insert(counter.name).second) << counter.name;
+    EXPECT_TRUE(families.insert(counter.family).second) << counter.family;
+    EXPECT_TRUE(labels.insert(counter.label).second) << counter.label;
+    EXPECT_NE(std::string(counter.help), "") << counter.name;
+  }
+  EXPECT_EQ(names.size(), kCounterCount);
+}
+
+TEST(CounterTable, EachCounterLandsInItsNamedSnapshotField) {
+  // A distinct value per counter: add() for the first half, set() for the
+  // rest, so both entry points are covered.
+  ServeTelemetry telemetry;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    if (i % 2 == 0) {
+      telemetry.add(Counter(i), 100 + i);
+    } else {
+      telemetry.set(Counter(i), 100 + i);
+    }
+  }
+  const TelemetrySnapshot s = telemetry.snapshot();
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    EXPECT_EQ(s.*kCounterTable[i].field, 100 + i) << kCounterTable[i].name;
+  }
+  // By name: the snapshot field and the Counter id of one table row agree.
+#define FLASHABFT_EXPECT_FIELD(field, ...)                       \
+  EXPECT_EQ(s.field, 100 + std::size_t(Counter::field)) << #field; \
+  EXPECT_STREQ(kCounterTable[std::size_t(Counter::field)].name, #field);
+  FLASHABFT_SERVE_COUNTERS(FLASHABFT_EXPECT_FIELD)
+#undef FLASHABFT_EXPECT_FIELD
+}
+
+TEST(CounterTable, PrometheusDeclaresEveryFamilyOnceAndSamplesEveryCounter) {
+  TelemetrySnapshot s;  // all zero: zero-valued counters still export.
+  s.scrub_items = 7;
+  const std::string text = s.prometheus_text(/*wall_seconds=*/1.0);
+
+  std::set<std::string> declared;
+  for (const std::string& line : lines_with_prefix(text, "# HELP ")) {
+    const std::string family = line.substr(7, line.find(' ', 7) - 7);
+    EXPECT_TRUE(declared.insert(family).second) << "duplicate HELP " << line;
+  }
+  std::set<std::string> typed;
+  for (const std::string& line : lines_with_prefix(text, "# TYPE ")) {
+    const std::string family = line.substr(7, line.find(' ', 7) - 7);
+    EXPECT_TRUE(typed.insert(family).second) << "duplicate TYPE " << line;
+  }
+  EXPECT_EQ(declared, typed);
+
+  for (const CounterDescriptor& counter : kCounterTable) {
+    const std::string family = std::string("flashabft_") + counter.family;
+    EXPECT_TRUE(declared.count(family)) << family;
+    const std::vector<std::string> samples =
+        lines_with_prefix(text, family + " ");
+    ASSERT_EQ(samples.size(), 1u) << family;
+    EXPECT_EQ(samples[0], family + " " + std::to_string(s.*counter.field));
+    EXPECT_EQ(lines_with_prefix(text, "# TYPE " + family + " " +
+                                          metric_type_name(counter.type))
+                  .size(),
+              1u)
+        << family;
+  }
+  EXPECT_NE(text.find("\nflashabft_scrub_items_total 7\n"), std::string::npos);
+
+  // Every family exported before the table existed keeps its name.
+  for (const char* family :
+       {"requests_submitted_total", "requests_rejected_total",
+        "requests_completed_total", "alarm_events_total",
+        "op_executions_total", "fallback_ops_total", "escalations_total",
+        "breaker_trips_total", "checksum_dirty_total",
+        "sessions_completed_total", "tokens_generated_total",
+        "scheduler_ticks_total", "preemptions_total", "session_resumes_total",
+        "scrub_passes_total", "scrub_repairs_total", "pages_in_use",
+        "pages_total", "throughput_rps", "op_checks_total", "op_alarms_total",
+        "guard_phase_seconds_total", "guard_phase_duration_seconds",
+        "abft_overhead_pct"}) {
+    EXPECT_TRUE(declared.count(std::string("flashabft_") + family)) << family;
+  }
+}
+
+TEST(CounterTable, RenderShowsScrubProgressBeforeTheFirstPass) {
+  // The inline scrub walks one item per tick: a long walk reports items
+  // for many ticks before its first pass completes, and the table must
+  // show that progress.
+  TelemetrySnapshot s;
+  s.scrub_passes = 0;
+  s.scrub_items = 42;
+  const std::string text = s.render(/*wall_seconds=*/1.0);
+  EXPECT_NE(text.find("scrub items"), std::string::npos) << text;
+  EXPECT_EQ(text.find("scrub passes"), std::string::npos) << text;
 }
 
 }  // namespace

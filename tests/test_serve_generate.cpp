@@ -69,8 +69,8 @@ TEST(ServeGenerate, KvCorruptionIsRescuedEndToEnd) {
 
   EXPECT_EQ(rescued.path, ServePath::kGuardedRecovered);
   EXPECT_TRUE(rescued.checksum_clean);
-  EXPECT_EQ(rescued.alarm_events, 1u);
-  EXPECT_EQ(rescued.fallback_ops, 0u);
+  EXPECT_EQ(rescued.counters.alarm_events, 1u);
+  EXPECT_EQ(rescued.counters.fallback_ops, 0u);
   // Identical tokens to the uncorrupted session: the page was restored
   // from its checkpoint before the read.
   EXPECT_EQ(rescued.tokens, golden.tokens);

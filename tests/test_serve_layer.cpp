@@ -82,8 +82,8 @@ TEST(ServeLayer, CleanLayerRequestCompletesWithFullOpCensus) {
               kAttentionOps);
     EXPECT_EQ(count_kind(response, OpKind::kProjection), kProjectionOps);
     EXPECT_EQ(count_kind(response, OpKind::kFfn), kFfnOps);
-    EXPECT_EQ(response.op_executions, kTotalOps);
-    EXPECT_EQ(response.alarm_events, 0u);
+    EXPECT_EQ(response.counters.op_executions, kTotalOps);
+    EXPECT_EQ(response.counters.alarm_events, 0u);
   }
   const TelemetrySnapshot s = server.telemetry().snapshot();
   EXPECT_EQ(s.completed, 6u);
@@ -121,9 +121,9 @@ TEST(ServeLayer, TransientLayerFaultRecoversInPlace) {
   const ServeResponse response = server.submit(std::move(request)).get();
   EXPECT_EQ(response.path, ServePath::kGuardedRecovered);
   EXPECT_TRUE(response.checksum_clean);
-  EXPECT_EQ(response.alarm_events, 1u);
-  EXPECT_EQ(response.op_executions, kTotalOps + 1);  // one retry.
-  EXPECT_EQ(response.fallback_ops, 0u);
+  EXPECT_EQ(response.counters.alarm_events, 1u);
+  EXPECT_EQ(response.counters.op_executions, kTotalOps + 1);  // one retry.
+  EXPECT_EQ(response.counters.fallback_ops, 0u);
 
   const TelemetrySnapshot s = server.telemetry().snapshot();
   const OpKindStats& attention =
@@ -148,8 +148,8 @@ TEST(ServeLayer, PersistentProjectionFaultFallsBackVerified) {
   const ServeResponse response = server.submit(std::move(request)).get();
   EXPECT_EQ(response.path, ServePath::kFallbackReference);
   EXPECT_TRUE(response.checksum_clean);  // fallback verified clean.
-  EXPECT_EQ(response.fallback_ops, 1u);
-  EXPECT_EQ(response.alarm_events, 2u);  // both attempts alarmed.
+  EXPECT_EQ(response.counters.fallback_ops, 1u);
+  EXPECT_EQ(response.counters.alarm_events, 2u);  // both attempts alarmed.
   // The escalated projection + its fallback both appear in the stream.
   EXPECT_EQ(response.reports.size(), kTotalOps + 1);
 

@@ -83,8 +83,8 @@ TEST(InferenceServer, CleanTrafficCompletesOnTheGuardedPath) {
     EXPECT_EQ(response.path, ServePath::kGuardedClean);
     EXPECT_TRUE(response.checksum_clean);
     EXPECT_EQ(response.outputs.size(), 2u);
-    EXPECT_EQ(response.op_executions, 2u);
-    EXPECT_EQ(response.alarm_events, 0u);
+    EXPECT_EQ(response.counters.op_executions, 2u);
+    EXPECT_EQ(response.counters.alarm_events, 0u);
     EXPECT_GE(response.batch_size, 1u);
     EXPECT_GE(response.total_us, response.service_us);
   }
@@ -114,8 +114,8 @@ TEST(InferenceServer, TransientFaultRecoversWithGoldenOutput) {
       server.submit(std::move(request)).get();
   EXPECT_EQ(response.path, ServePath::kGuardedRecovered);
   EXPECT_TRUE(response.checksum_clean);
-  EXPECT_GE(response.alarm_events, 1u);
-  EXPECT_EQ(response.op_executions, 3u);  // 2 heads + 1 re-execution.
+  EXPECT_GE(response.counters.alarm_events, 1u);
+  EXPECT_EQ(response.counters.op_executions, 3u);  // 2 heads + 1 re-execution.
   // Fault-free re-execution is bit-identical to the golden run.
   ASSERT_EQ(response.outputs.size(), golden.size());
   for (std::size_t h = 0; h < golden.size(); ++h) {
@@ -142,9 +142,9 @@ TEST(InferenceServer, PersistentFaultEscalatesToVerifiedFallback) {
       server.submit(std::move(request)).get();
   EXPECT_EQ(response.path, ServePath::kFallbackReference);
   EXPECT_TRUE(response.checksum_clean);
-  EXPECT_GE(response.fallback_ops, 1u);
+  EXPECT_GE(response.counters.fallback_ops, 1u);
   // initial 2 heads + max_retries re-executions of each alarming head.
-  EXPECT_GT(response.op_executions, 2u);
+  EXPECT_GT(response.counters.op_executions, 2u);
 
   const TelemetrySnapshot s = server.telemetry().snapshot();
   EXPECT_EQ(s.escalations, 1u);
