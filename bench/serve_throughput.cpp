@@ -536,50 +536,30 @@ int main(int argc, char** argv) {
     const LoadReport report = run_load(server, load);
     server.shutdown();
 
+    const TelemetrySnapshot& tel = report.telemetry;
     Table t({"metric", "value"});
     t.set_title(title + " · " + backend_name(compute));
     t.add_row({"compute backend", backend_name(compute)});
     t.add_row({"storage dtype", dtype_name(dtype)});
     t.add_row({"workers", format_number(double(common->threads), 0)});
+    // What the load driver observed, then every non-zero server counter
+    // from the one counter table.
     t.add_row({"requests", format_number(double(report.completed), 0)});
     t.add_row({"throughput (req/s)",
                format_number(report.throughput_rps, 1)});
-    t.add_row({"p50 latency (us)",
-               format_number(report.telemetry.total_p50_us, 1)});
-    t.add_row({"p95 latency (us)",
-               format_number(report.telemetry.total_p95_us, 1)});
-    t.add_row({"p99 latency (us)",
-               format_number(report.telemetry.total_p99_us, 1)});
+    t.add_row({"p50 latency (us)", format_number(tel.total_p50_us, 1)});
+    t.add_row({"p95 latency (us)", format_number(tel.total_p95_us, 1)});
+    t.add_row({"p99 latency (us)", format_number(tel.total_p99_us, 1)});
     if (generate_mode) {
-      t.add_row({"tokens generated",
-                 format_number(double(report.tokens_generated), 0)});
       t.add_row({"tokens/sec", format_number(report.tokens_per_second, 1)});
-      t.add_row({"ttft p50 (us)",
-                 format_number(report.telemetry.ttft_p50_us, 1)});
-      t.add_row({"ttft p99 (us)",
-                 format_number(report.telemetry.ttft_p99_us, 1)});
-      t.add_row({"sessions parked",
-                 format_number(double(report.telemetry.sessions_parked), 0)});
-      t.add_row({"scheduler ticks",
-                 format_number(double(report.telemetry.scheduler_ticks), 0)});
-      t.add_row({"batch occupancy",
-                 format_number(report.telemetry.batch_occupancy(), 2)});
-      t.add_row({"preemptions",
-                 format_number(double(report.telemetry.preemptions), 0)});
+      t.add_row({"ttft p50 (us)", format_number(tel.ttft_p50_us, 1)});
+      t.add_row({"ttft p99 (us)", format_number(tel.ttft_p99_us, 1)});
+      t.add_row({"batch occupancy", format_number(tel.batch_occupancy(), 2)});
       t.add_row({"peak page utilization",
-                 format_number(report.telemetry.peak_page_utilization(), 2)});
+                 format_number(tel.peak_page_utilization(), 2)});
     }
     if (prefix_workload) {
-      const TelemetrySnapshot& tel = report.telemetry;
-      t.add_row({"prefix hits / misses",
-                 format_number(double(tel.prefix_hits), 0) + " / " +
-                     format_number(double(tel.prefix_misses), 0)});
       t.add_row({"prefix hit rate", format_number(tel.prefix_hit_rate(), 2)});
-      t.add_row({"prefill tokens skipped",
-                 format_number(double(tel.prefix_hit_tokens), 0)});
-      t.add_row({"cow forks / evictions",
-                 format_number(double(tel.prefix_cow_forks), 0) + " / " +
-                     format_number(double(tel.prefix_evictions), 0)});
       t.add_row({"cached ttft p50 (us)",
                  format_number(report.cached_ttft_p50_us, 1)});
       t.add_row({"uncached ttft p50 (us)",
@@ -589,9 +569,9 @@ int main(int argc, char** argv) {
     // is meaningless for generation.
     if (!generate_mode) {
       t.add_row({"mean batch size",
-                 format_number(report.telemetry.batches > 0
+                 format_number(tel.batches > 0
                                    ? double(report.completed) /
-                                         double(report.telemetry.batches)
+                                         double(tel.batches)
                                    : 0.0,
                                2)});
     }
@@ -599,38 +579,20 @@ int main(int argc, char** argv) {
                format_number(double(report.transient_injected), 0)});
     t.add_row({"faults injected (persistent)",
                format_number(double(report.persistent_injected), 0)});
-    t.add_row({"alarm events",
-               format_number(double(report.telemetry.alarm_events), 0)});
-    t.add_row({"clean first try",
-               format_number(double(report.guarded_clean), 0)});
-    t.add_row({"recovered", format_number(double(report.recovered), 0)});
-    t.add_row({"escalations",
-               format_number(double(report.telemetry.escalations), 0)});
-    t.add_row({"fallback served",
+    t.add_row({"recovered responses",
+               format_number(double(report.recovered), 0)});
+    t.add_row({"fallback-served responses",
                format_number(double(report.fallback), 0)});
     t.add_row({"checksum-clean responses",
                format_number(double(report.clean_responses), 0)});
-    if (report.telemetry.meta_verifies > 0 ||
-        report.telemetry.scrub_passes > 0 ||
-        report.telemetry.dmr_compares > 0) {
-      t.add_row({"meta verifies",
-                 format_number(double(report.telemetry.meta_verifies), 0)});
-      t.add_row({"scrub passes / items",
-                 format_number(double(report.telemetry.scrub_passes), 0) +
-                     " / " +
-                     format_number(double(report.telemetry.scrub_items), 0)});
-      t.add_row(
-          {"scrub found / repaired",
-           format_number(double(report.telemetry.scrub_faults_found), 0) +
-               " / " +
-               format_number(double(report.telemetry.scrub_repairs), 0)});
-      t.add_row(
-          {"dmr compares / mismatches",
-           format_number(double(report.telemetry.dmr_compares), 0) + " / " +
-               format_number(double(report.telemetry.dmr_mismatches), 0)});
+    for (const CounterDescriptor& counter : kCounterTable) {
+      const std::uint64_t value = tel.*counter.field;
+      if (value != 0) {
+        t.add_row({counter.label, format_number(double(value), 0)});
+      }
     }
     for (std::size_t k = 0; k < kOpKindCount; ++k) {
-      const OpKindStats& stats = report.telemetry.per_kind[k];
+      const OpKindStats& stats = tel.per_kind[k];
       if (stats.checks == 0) continue;
       t.add_row({std::string("op[") + op_kind_name(OpKind(k)) + "]",
                  format_number(double(stats.checks), 0) + " checks, " +
@@ -638,7 +600,7 @@ int main(int argc, char** argv) {
                      format_number(double(stats.recovered), 0) +
                      " recovered"});
     }
-    const obs::OpTimingSnapshot& timing = report.telemetry.timing;
+    const obs::OpTimingSnapshot& timing = tel.timing;
     for (std::size_t k = 0; k < kOpKindCount; ++k) {
       const OpKind kind = OpKind(k);
       if (timing.of(kind, obs::GuardPhase::kCompute).count == 0 &&

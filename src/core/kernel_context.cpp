@@ -8,7 +8,6 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kAttentionTwoStepAbft: return "attention_two_step_abft";
     case OpKind::kProjection: return "projection";
     case OpKind::kFfn: return "ffn";
-    case OpKind::kKvCache: return "kv_cache";
     case OpKind::kKvPage: return "kv_page";
     case OpKind::kReferenceFallback: return "reference_fallback";
     case OpKind::kControlPlane: return "control_plane";

@@ -32,12 +32,11 @@ enum class OpKind {
   kAttentionTwoStepAbft,    ///< classic two-product ABFT attention baseline.
   kProjection,              ///< Q/K/V/output projection under matmul-ABFT.
   kFfn,                     ///< feed-forward product under matmul-ABFT.
-  kKvCache,                 ///< KV-cache read verified by running checksums.
   kKvPage,                  ///< paged KV pool: page contents + page table.
   kReferenceFallback,       ///< software Alg. 3 serving an escalated op.
   kControlPlane,            ///< sealed scheduler/session metadata + DMR glue.
 };
-inline constexpr std::size_t kOpKindCount = 8;
+inline constexpr std::size_t kOpKindCount = 7;
 
 [[nodiscard]] const char* op_kind_name(OpKind kind);
 /// Inverse of op_kind_name: parses the canonical name (the one report/JSON

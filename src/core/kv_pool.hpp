@@ -1,17 +1,17 @@
 // Checksum-protected paged KV pool — shared serving memory under ABFT.
 //
-// The contiguous `KvCache` of PR 3 reserves max_seq_len rows per session at
-// admission. Continuous-batching serving instead draws fixed-size *pages*
-// from one pool shared by every session, so memory follows actual sequence
-// length and sessions can be preempted/resumed by releasing/re-acquiring
-// pages. Pooling moves two new structures into the fault surface, and both
-// are checksummed:
+// The one KV store of the stack. Sessions draw fixed-size *pages* from one
+// pool shared by every session, so memory follows actual sequence length
+// and sessions can be preempted/resumed by releasing/re-acquiring pages
+// (single-session generation runs on a private pool of the same kind —
+// `KvCache` in model/transformer_model.hpp). Two structures are in the
+// fault surface, and both are checksummed:
 //
 //   * page *contents* — each page keeps running per-column K/V checksums
-//     over its used rows (updated O(width) per append, like
-//     `KvCacheLayer`) plus a checkpoint mirror. A storage upset between
-//     decode steps is caught by the per-page column-sum recomputation, and
-//     recovery re-materializes *only the corrupted page* from its mirror.
+//     over its used rows (updated O(width) per append) plus a checkpoint
+//     mirror. A storage upset between decode steps is caught by the
+//     per-page column-sum recomputation, and recovery re-materializes
+//     *only the corrupted page* from its mirror.
 //   * the page *mapping* — each session×layer page table carries a
 //     position-weighted running checksum (sum of (slot+1)·(page_id+1)) and
 //     a mirror copy. A corrupted table entry silently redirects reads to a

@@ -145,7 +145,7 @@ class GuardedRecord {
 };
 
 /// Guarded verify of a sealed record, in the same shape as
-/// guarded_cache_verify / guarded_page_verify: attempt 0 checks the live
+/// guarded_page_verify: attempt 0 checks the live
 /// seal; every retry repairs from the mirror first and re-checks. A
 /// transient upset therefore reports kRecovered; a double-fault (mirror hit
 /// too) exhausts the retries and is accepted dirty (verdict kAlarm — the

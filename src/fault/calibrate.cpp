@@ -119,9 +119,9 @@ Tolerances derive_tolerances(DType dtype, const ToleranceModelShape& shape,
   // Reference fallback re-runs the op it replaces at the same dtype, so its
   // residual obeys the widest compute-kind bound.
   set(OpKind::kReferenceFallback, proj);
-  // kKvCache / kKvPage / kControlPlane deliberately keep the exact floor:
-  // KV verification recomputes column sums from the stored (already
-  // rounded) rows, so clean verifies are bit-exact at every dtype, and the
+  // kKvPage / kControlPlane deliberately keep the exact floor: KV page
+  // verification recomputes column sums from the stored (already rounded)
+  // rows, so clean verifies are bit-exact at every dtype, and the
   // control plane checks metadata words, not arithmetic.
   return tol;
 }

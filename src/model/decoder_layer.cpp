@@ -109,35 +109,10 @@ DecoderLayerResult DecoderLayer::forward(
 DecoderLayerResult DecoderLayer::forward_causal(
     const MatrixD& x, AttentionBackend backend,
     const GuardedExecutor& executor, std::size_t layer_index,
-    KvCacheLayer* cache) const {
+    const KvRowSink& sink) const {
   FLASHABFT_ENSURE(x.cols() == cfg_.model_dim);
 
   DecoderLayerResult result;
-  MhaResult self =
-      self_attention_.forward(x, backend, executor, AttentionMask::kCausal,
-                              /*block=*/layer_index, cache);
-  result.report = std::move(self.report);
-  const MatrixD h1 = dmr_guard(
-      executor, layer_index, double(x.rows()) * double(cfg_.model_dim),
-      [&] { return norm1_.forward(element_add(x, self.output)); },
-      result.report);
-  result.output =
-      ffn_block(h1, executor, /*ffn_base=*/layer_index * 2, result.report);
-  return result;
-}
-
-DecoderLayerResult DecoderLayer::forward_causal_paged(
-    const MatrixD& x, AttentionBackend backend,
-    const GuardedExecutor& executor, std::size_t layer_index,
-    KvPagePool& pool, PagedKv& kv) const {
-  FLASHABFT_ENSURE(x.cols() == cfg_.model_dim);
-
-  DecoderLayerResult result;
-  const KvRowSink sink = [&pool, &kv, layer_index](
-                             std::span<const double> k_row,
-                             std::span<const double> v_row) {
-    pool.append(kv, layer_index, k_row, v_row);
-  };
   MhaResult self =
       self_attention_.forward(x, backend, executor, AttentionMask::kCausal,
                               /*block=*/layer_index, sink);
@@ -145,26 +120,6 @@ DecoderLayerResult DecoderLayer::forward_causal_paged(
   const MatrixD h1 = dmr_guard(
       executor, layer_index, double(x.rows()) * double(cfg_.model_dim),
       [&] { return norm1_.forward(element_add(x, self.output)); },
-      result.report);
-  result.output =
-      ffn_block(h1, executor, /*ffn_base=*/layer_index * 2, result.report);
-  return result;
-}
-
-DecoderLayerResult DecoderLayer::forward_decode(
-    const MatrixD& x_new, AttentionBackend backend,
-    const GuardedExecutor& executor, KvCacheLayer& cache,
-    std::size_t layer_index) const {
-  FLASHABFT_ENSURE(x_new.cols() == cfg_.model_dim);
-
-  DecoderLayerResult result;
-  MhaResult self = self_attention_.forward_decode(
-      x_new, backend, executor, cache, /*kv_check_index=*/layer_index,
-      /*block=*/layer_index);
-  result.report = std::move(self.report);
-  const MatrixD h1 = dmr_guard(
-      executor, layer_index, double(x_new.rows()) * double(cfg_.model_dim),
-      [&] { return norm1_.forward(element_add(x_new, self.output)); },
       result.report);
   result.output =
       ffn_block(h1, executor, /*ffn_base=*/layer_index * 2, result.report);
@@ -216,26 +171,6 @@ MatrixD DecoderLayer::forward_decode_paged_batch(
       double(h1.rows()) * double(cfg_.model_dim),
       [&] { return norm3_.forward(element_add(h1, ffn)); },
       *reports.front());
-}
-
-DecoderLayerResult DecoderLayer::forward_decode_paged(
-    const MatrixD& x_new, AttentionBackend backend,
-    const GuardedExecutor& executor, KvPagePool& pool, PagedKv& kv,
-    std::size_t layer_index) const {
-  FLASHABFT_ENSURE(x_new.cols() == cfg_.model_dim);
-
-  DecoderLayerResult result;
-  MhaResult self = self_attention_.forward_decode_paged(
-      x_new, backend, executor, pool, kv, layer_index,
-      /*kv_check_index=*/layer_index, /*block=*/layer_index);
-  result.report = std::move(self.report);
-  const MatrixD h1 = dmr_guard(
-      executor, layer_index, double(x_new.rows()) * double(cfg_.model_dim),
-      [&] { return norm1_.forward(element_add(x_new, self.output)); },
-      result.report);
-  result.output =
-      ffn_block(h1, executor, /*ffn_base=*/layer_index * 2, result.report);
-  return result;
 }
 
 }  // namespace flashabft

@@ -13,17 +13,17 @@
 // The layer also serves as the GPT-style building block of the
 // autoregressive `TransformerModel` (`cross_attention = false` in the
 // config): `forward_causal` runs self-attention + FFN only (optionally
-// filling a KV cache — the prefill pass), and `forward_decode` extends one
-// token over a checksummed `KvCacheLayer` in O(len). In those paths every
-// op index is offset by `layer_index` (heads layer*H+h, projections
-// layer*4+slot, FFN layer*2+{0,1}, cache check layer), so a stacked model's
+// streaming K/V rows into the paged pool — the prefill pass), and
+// `forward_decode_paged_batch` extends one token per session over the
+// checksummed page pool in O(len) — the one decode path. In those paths
+// every op index is offset by `layer_index` (heads layer*H+h, projections
+// layer*4+slot, FFN layer*2+{0,1}, page check layer), so a stacked model's
 // report stream stays globally addressable for fault attribution.
 #pragma once
 
 #include <optional>
 
 #include "core/guarded_op.hpp"
-#include "core/kv_cache.hpp"
 #include "model/gelu.hpp"
 #include "model/layernorm.hpp"
 #include "model/linear.hpp"
@@ -67,39 +67,14 @@ class DecoderLayer {
       const GuardedExecutor& executor) const;
 
   /// Decoder-only causal forward: x -> LN(x + CausalSelfAttn(x))
-  /// -> LN(. + FFN(.)); the cross-attention block is skipped. When `cache`
-  /// is non-null every projected K/V row is appended to it (the prefill
-  /// pass of a generation session). `layer_index` offsets every op index.
+  /// -> LN(. + FFN(.)); the cross-attention block is skipped. When `sink`
+  /// is set every projected K/V row is streamed into it (the prefill — or
+  /// preemption-resume re-prefill — pass of a generation session).
+  /// `layer_index` offsets every op index.
   [[nodiscard]] DecoderLayerResult forward_causal(
       const MatrixD& x, AttentionBackend backend,
       const GuardedExecutor& executor, std::size_t layer_index = 0,
-      KvCacheLayer* cache = nullptr) const;
-
-  /// Causal forward with K/V rows streamed into a paged pool — the prefill
-  /// (or preemption-resume re-prefill) pass of a continuous-batching
-  /// session. The caller must have reserved pages for x.rows() tokens.
-  [[nodiscard]] DecoderLayerResult forward_causal_paged(
-      const MatrixD& x, AttentionBackend backend,
-      const GuardedExecutor& executor, std::size_t layer_index,
-      KvPagePool& pool, PagedKv& kv) const;
-
-  /// Single-token incremental decode over `cache`: verifies the cache's
-  /// running checksums (guarded kKvCache op, index = layer_index), appends
-  /// the token's K/V, attends over the full cache, then the FFN — the
-  /// O(len) decode step.
-  [[nodiscard]] DecoderLayerResult forward_decode(
-      const MatrixD& x_new, AttentionBackend backend,
-      const GuardedExecutor& executor, KvCacheLayer& cache,
-      std::size_t layer_index = 0) const;
-
-  /// Single-token incremental decode over the session's *paged* cache:
-  /// verifies page contents + page table (guarded kKvPage op, index =
-  /// layer_index), appends through the pool, attends over the page list
-  /// with the strided paged kernel, then the FFN.
-  [[nodiscard]] DecoderLayerResult forward_decode_paged(
-      const MatrixD& x_new, AttentionBackend backend,
-      const GuardedExecutor& executor, KvPagePool& pool, PagedKv& kv,
-      std::size_t layer_index = 0) const;
+      const KvRowSink& sink = {}) const;
 
   /// The continuous-batching sweep of this layer: one token row per
   /// session stacked as B x model_dim. Attention projections and both FFN

@@ -86,21 +86,6 @@ MhaResult MultiHeadAttention::forward(const MatrixD& x,
                                       AttentionBackend backend,
                                       const GuardedExecutor& executor,
                                       AttentionMask mask, std::size_t block,
-                                      KvCacheLayer* cache) const {
-  KvRowSink sink;
-  if (cache != nullptr) {
-    sink = [cache](std::span<const double> k_row,
-                   std::span<const double> v_row) {
-      cache->append(k_row, v_row);
-    };
-  }
-  return forward_impl(x, x, backend, executor, mask, block, sink);
-}
-
-MhaResult MultiHeadAttention::forward(const MatrixD& x,
-                                      AttentionBackend backend,
-                                      const GuardedExecutor& executor,
-                                      AttentionMask mask, std::size_t block,
                                       const KvRowSink& sink) const {
   return forward_impl(x, x, backend, executor, mask, block, sink);
 }
@@ -197,7 +182,7 @@ MhaResult MultiHeadAttention::forward_impl(const MatrixD& x_q,
   const MatrixD v_all = project(wv_, x_kv, 2);
 
   if (sink) {
-    // Prefill: every verified K/V row enters the session cache (running
+    // Prefill: every verified K/V row enters the session's pages (running
     // checksums and checkpoint mirror updated per append).
     for (std::size_t i = 0; i < x_kv.rows(); ++i) {
       sink(k_all.row(i), v_all.row(i));
@@ -221,65 +206,6 @@ MhaResult MultiHeadAttention::forward_impl(const MatrixD& x_q,
       for (std::size_t d = 0; d < head_dim_; ++d) {
         concat(i, h * head_dim_ + d) = head_out(i, d);
       }
-    }
-  }
-
-  result.output = project(wo_, concat, 3);
-  return result;
-}
-
-MhaResult MultiHeadAttention::forward_decode(const MatrixD& x_new,
-                                             AttentionBackend backend,
-                                             const GuardedExecutor& executor,
-                                             KvCacheLayer& cache,
-                                             std::size_t kv_check_index,
-                                             std::size_t block) const {
-  FLASHABFT_ENSURE_MSG(x_new.rows() == 1 && x_new.cols() == model_dim_,
-                       "decode step takes one token, got "
-                           << x_new.rows() << " x " << x_new.cols());
-  FLASHABFT_ENSURE_MSG(cache.width() == num_heads_ * head_dim_,
-                       "cache width " << cache.width() << " != "
-                                      << num_heads_ * head_dim_);
-  const std::size_t projection_base = block * 4;
-  const std::size_t head_base = block * num_heads_;
-
-  MhaResult result;
-  const auto project = [&](const Linear& w, const MatrixD& in,
-                           std::size_t slot) {
-    // Construction-time checksums: a post-construction weight upset is not
-    // self-consistent against them (the legacy weight blind spot fix).
-    return guarded_linear(w, in, OpKind::kProjection, projection_base + slot,
-                          executor, result.report,
-                          &projection_checksums_[slot]);
-  };
-
-  // The state this step is about to read was written by earlier steps:
-  // verify the cache's running checksums first (restored from the
-  // checkpoint on alarm), then extend it with this token's verified row.
-  if (cache.len() > 0) {
-    guarded_cache_verify(cache, kv_check_index, executor, result.report);
-  }
-
-  const MatrixD q_all = project(wq_, x_new, 0);
-  const MatrixD k_all = project(wk_, x_new, 1);
-  const MatrixD v_all = project(wv_, x_new, 2);
-  cache.append(k_all.row(0), v_all.row(0));
-
-  AttentionConfig cfg;
-  cfg.seq_len = cache.len();
-  cfg.head_dim = head_dim_;
-  cfg.scale = 1.0 / std::sqrt(double(head_dim_));
-  cfg.mask = AttentionMask::kNone;  // all cached keys are <= this position.
-
-  MatrixD concat(1, num_heads_ * head_dim_);
-  for (std::size_t h = 0; h < num_heads_; ++h) {
-    const MatrixD q = head_slice(q_all, h, head_dim_);
-    const MatrixD k = cache.k_head(h, head_dim_);
-    const MatrixD v = cache.v_head(h, head_dim_);
-    const MatrixD head_out = run_head(q, k, v, backend, executor, cfg,
-                                      head_base + h, result.report);
-    for (std::size_t d = 0; d < head_dim_; ++d) {
-      concat(0, h * head_dim_ + d) = head_out(0, d);
     }
   }
 
@@ -370,84 +296,6 @@ MatrixD MultiHeadAttention::forward_decode_paged_batch(
     for (std::size_t d = 0; d < model_dim_; ++d) out(s, d) = src[d];
   }
   return out;
-}
-
-MhaResult MultiHeadAttention::forward_decode_paged(
-    const MatrixD& x_new, AttentionBackend backend,
-    const GuardedExecutor& executor, KvPagePool& pool, PagedKv& kv,
-    std::size_t layer, std::size_t kv_check_index, std::size_t block) const {
-  FLASHABFT_ENSURE_MSG(x_new.rows() == 1 && x_new.cols() == model_dim_,
-                       "decode step takes one token, got "
-                           << x_new.rows() << " x " << x_new.cols());
-  FLASHABFT_ENSURE_MSG(pool.config().width == num_heads_ * head_dim_,
-                       "pool width " << pool.config().width << " != "
-                                     << num_heads_ * head_dim_);
-  FLASHABFT_ENSURE_MSG(backend == AttentionBackend::kFlashAbft,
-                       "paged decode serves the Flash-ABFT backend only");
-  const std::size_t projection_base = block * 4;
-  const std::size_t head_base = block * num_heads_;
-  const std::size_t width = pool.config().width;
-
-  MhaResult result;
-  const auto project = [&](const Linear& w, const MatrixD& in,
-                           std::size_t slot) {
-    // Construction-time checksums: a post-construction weight upset is not
-    // self-consistent against them (the legacy weight blind spot fix).
-    return guarded_linear(w, in, OpKind::kProjection, projection_base + slot,
-                          executor, result.report,
-                          &projection_checksums_[slot]);
-  };
-
-  // The pages (and the mapping about to be walked) were written by earlier
-  // steps: verify both first — restored from their checkpoints on alarm —
-  // then extend the cache with this token's verified row.
-  if (kv.len(layer) > 0) {
-    guarded_page_verify(pool, kv, layer, kv_check_index, executor,
-                        result.report);
-  }
-
-  const MatrixD q_all = project(wq_, x_new, 0);
-  const MatrixD k_all = project(wk_, x_new, 1);
-  const MatrixD v_all = project(wv_, x_new, 2);
-  pool.append(kv, layer, k_all.row(0), v_all.row(0));
-
-  const std::vector<KvPagePool::Chunk> pages = pool.chunks(kv, layer);
-  const double scale = 1.0 / std::sqrt(double(head_dim_));
-  const double cost =
-      2.0 * double(kv.len(layer)) * double(head_dim_);
-  const KernelContext context = executor.kernel_context();
-
-  MatrixD concat(1, num_heads_ * head_dim_);
-  for (std::size_t h = 0; h < num_heads_; ++h) {
-    const MatrixD q = head_slice(q_all, h, head_dim_);
-    // Escalated heads gather the pages into contiguous K/V and run the
-    // scalar software Alg. 3 kernel — an engine diverse from the strided
-    // paged walk, verified by its own fused checksum.
-    const auto gather_fallback = [&] {
-      AttentionConfig cfg;
-      cfg.seq_len = kv.len(layer);
-      cfg.head_dim = head_dim_;
-      cfg.scale = scale;
-      cfg.mask = AttentionMask::kNone;
-      return checked_flash_abft(q, pool.gather_k_head(kv, layer, h, head_dim_),
-                                pool.gather_v_head(kv, layer, h, head_dim_),
-                                cfg, executor.fallback_context());
-    };
-    GuardedOp op = executor.run(
-        OpKind::kAttentionFlashAbft, head_base + h, cost,
-        [&](std::size_t) {
-          return paged_flash_abft_head(q.row(0), pages, width, h, head_dim_,
-                                       scale, context);
-        },
-        gather_fallback);
-    for (std::size_t d = 0; d < head_dim_; ++d) {
-      concat(0, h * head_dim_ + d) = op.output(0, d);
-    }
-    result.report.add(std::move(op));
-  }
-
-  result.output = project(wo_, concat, 3);
-  return result;
 }
 
 }  // namespace flashabft

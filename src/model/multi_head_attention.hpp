@@ -17,7 +17,6 @@
 
 #include "attention/attention_config.hpp"
 #include "core/guarded_op.hpp"
-#include "core/kv_cache.hpp"
 #include "core/kv_pool.hpp"
 #include "model/linear.hpp"
 #include "tensor/random.hpp"
@@ -25,8 +24,7 @@
 namespace flashabft {
 
 /// Sink for projected K/V rows during a cache-filling forward: one call per
-/// token row, in position order. Adapts the prefill pass to whichever cache
-/// is behind it (contiguous KvCacheLayer append or paged-pool append).
+/// token row, in position order — the prefill pass's paged-pool append.
 using KvRowSink = std::function<void(std::span<const double> k_row,
                                      std::span<const double> v_row)>;
 
@@ -61,21 +59,13 @@ class MultiHeadAttention {
   /// checksums (kFlashAbft / kTwoStepAbft). `block` offsets the OpReport
   /// indices so a layer with several attention blocks (the decoder) keeps
   /// them distinguishable: heads get index block*num_heads + h, projections
-  /// block*4 + {0:Q, 1:K, 2:V, 3:output}. When `cache` is non-null every
-  /// projected K/V row is appended to it (the prefill path of a generation
-  /// session) — the cache must have room for x.rows() more tokens.
+  /// block*4 + {0:Q, 1:K, 2:V, 3:output}. When `sink` is set every projected
+  /// K/V row is streamed into it (the prefill path of a generation session).
   [[nodiscard]] MhaResult forward(const MatrixD& x, AttentionBackend backend,
                                   const GuardedExecutor& executor,
                                   AttentionMask mask = AttentionMask::kNone,
                                   std::size_t block = 0,
-                                  KvCacheLayer* cache = nullptr) const;
-
-  /// The same forward with projected K/V rows streamed into an arbitrary
-  /// cache sink — the paged prefill path (the scheduler's pool append).
-  [[nodiscard]] MhaResult forward(const MatrixD& x, AttentionBackend backend,
-                                  const GuardedExecutor& executor,
-                                  AttentionMask mask, std::size_t block,
-                                  const KvRowSink& sink) const;
+                                  const KvRowSink& sink = {}) const;
 
   /// Cross-attention: queries projected from `x_q` (n_q x model_dim), keys
   /// and values from `memory` (n_kv x model_dim) — the decoder's
@@ -87,38 +77,6 @@ class MultiHeadAttention {
                                         const GuardedExecutor& executor,
                                         std::size_t block = 0) const;
 
-  /// Incremental decode: `x_new` is ONE new token's embedding
-  /// (1 x model_dim). The cache's running checksums are verified first
-  /// (a guarded `kKvCache` op with index `kv_check_index`, restored from
-  /// the checkpoint on alarm), the token's projected K/V row is appended,
-  /// and the new query attends over the full cache per head — O(len) per
-  /// step instead of the O(len^2) of recomputing full-sequence attention.
-  /// Attending to every cached key IS causal attention at this position,
-  /// so no mask is applied.
-  [[nodiscard]] MhaResult forward_decode(const MatrixD& x_new,
-                                         AttentionBackend backend,
-                                         const GuardedExecutor& executor,
-                                         KvCacheLayer& cache,
-                                         std::size_t kv_check_index = 0,
-                                         std::size_t block = 0) const;
-
-  /// Incremental decode over a *paged* cache: the session's page contents
-  /// and page table are verified first (a guarded `kKvPage` op with index
-  /// `kv_check_index`, table + corrupted pages restored from checkpoints on
-  /// alarm), the token's K/V row is appended through the pool, and each
-  /// head attends over the non-contiguous page list with the strided
-  /// paged Flash-ABFT kernel — no gather on the guarded path (the
-  /// escalation fallback gathers and runs the scalar reference kernel).
-  /// Only kFlashAbft is supported; the caller must have reserved pages for
-  /// the append (`KvPagePool::append_pages_needed`).
-  [[nodiscard]] MhaResult forward_decode_paged(const MatrixD& x_new,
-                                               AttentionBackend backend,
-                                               const GuardedExecutor& executor,
-                                               KvPagePool& pool, PagedKv& kv,
-                                               std::size_t layer,
-                                               std::size_t kv_check_index = 0,
-                                               std::size_t block = 0) const;
-
   /// The continuous-batching decode sweep of this block: `x_stacked` holds
   /// one token row per session (B x model_dim) and the Q/K/V/output
   /// projections run as ONE stacked product each (guarded_linear_batch —
@@ -128,7 +86,11 @@ class MultiHeadAttention {
   /// and each of its heads attends over its page list with the strided
   /// paged kernel. Outputs land row-per-session in the returned matrix;
   /// reports append to `reports[s]`. Scalar outputs are bit-identical to B
-  /// separate `forward_decode_paged` calls.
+  /// separate batch-of-one calls. Page verification precedes the append
+  /// (an alarm restores the table + corrupted pages from their checkpoints);
+  /// escalated heads gather the pages and run the scalar reference kernel.
+  /// Only kFlashAbft is supported; the caller must have reserved pages for
+  /// the append (`KvPagePool::append_pages_needed`).
   [[nodiscard]] MatrixD forward_decode_paged_batch(
       const MatrixD& x_stacked, AttentionBackend backend,
       std::span<const GuardedExecutor* const> executors, KvPagePool& pool,

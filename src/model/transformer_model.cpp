@@ -233,8 +233,7 @@ std::vector<std::size_t> TransformerModel::encode(
 }
 
 KvCache TransformerModel::make_cache() const {
-  return KvCache(cfg_.num_layers, cfg_.max_seq_len,
-                 cfg_.num_heads * cfg_.head_dim, cfg_.dtype);
+  return KvCache(make_pool_config(kCachePageSize, 0, 1));
 }
 
 KvPoolConfig TransformerModel::make_pool_config(std::size_t page_size,
@@ -326,61 +325,6 @@ std::vector<double> TransformerModel::lm_head(
   return logits;
 }
 
-StepResult TransformerModel::prefill(const std::vector<std::size_t>& prompt,
-                                     AttentionBackend backend,
-                                     const GuardedExecutor& executor,
-                                     KvCache& cache) const {
-  FLASHABFT_ENSURE_MSG(!prompt.empty(), "prefill needs a non-empty prompt");
-  FLASHABFT_ENSURE_MSG(prompt.size() <= cfg_.max_seq_len,
-                       "prompt of " << prompt.size() << " tokens exceeds "
-                                    << cfg_.max_seq_len);
-  FLASHABFT_ENSURE_MSG(cache.len() == 0, "prefill needs an empty cache");
-  FLASHABFT_ENSURE(cache.num_layers() == cfg_.num_layers);
-
-  StepResult result;
-  MatrixD x = embedding_.embed_ids(prompt, /*start_pos=*/0);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    DecoderLayerResult out = layers_[l].forward_causal(
-        x, backend, executor, /*layer_index=*/l, &cache.layer(l));
-    x = std::move(out.output);
-    result.report.add_layer(std::move(out.report));
-  }
-  const MatrixD h = dmr_guard(
-      executor, /*index=*/layers_.size(),
-      double(x.rows()) * double(cfg_.model_dim),
-      [&] { return final_norm_.forward(x); }, result.report.final_ops);
-  result.logits = lm_head(h, executor, result.report.final_ops);
-  result.next_token = argmax(result.logits);
-  return result;
-}
-
-StepResult TransformerModel::decode_step(std::size_t token,
-                                         AttentionBackend backend,
-                                         const GuardedExecutor& executor,
-                                         KvCache& cache) const {
-  const std::size_t pos = cache.len();
-  FLASHABFT_ENSURE_MSG(pos > 0, "decode before prefill");
-  FLASHABFT_ENSURE_MSG(pos < cfg_.max_seq_len,
-                       "cache full at " << pos << " tokens");
-
-  StepResult result;
-  const std::size_t ids[1] = {token};
-  MatrixD x = embedding_.embed_ids(ids, /*start_pos=*/pos);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    DecoderLayerResult out = layers_[l].forward_decode(
-        x, backend, executor, cache.layer(l), /*layer_index=*/l);
-    x = std::move(out.output);
-    result.report.add_layer(std::move(out.report));
-  }
-  const MatrixD h = dmr_guard(
-      executor, /*index=*/layers_.size(),
-      double(x.rows()) * double(cfg_.model_dim),
-      [&] { return final_norm_.forward(x); }, result.report.final_ops);
-  result.logits = lm_head(h, executor, result.report.final_ops);
-  result.next_token = argmax(result.logits);
-  return result;
-}
-
 StepResult TransformerModel::prefill_paged(
     const std::vector<std::size_t>& tokens, AttentionBackend backend,
     const GuardedExecutor& executor, KvPagePool& pool, PagedKv& kv) const {
@@ -394,8 +338,12 @@ StepResult TransformerModel::prefill_paged(
   StepResult result;
   MatrixD x = embedding_.embed_ids(tokens, /*start_pos=*/0);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    DecoderLayerResult out = layers_[l].forward_causal_paged(
-        x, backend, executor, /*layer_index=*/l, pool, kv);
+    const KvRowSink sink = [&pool, &kv, l](std::span<const double> k_row,
+                                           std::span<const double> v_row) {
+      pool.append(kv, l, k_row, v_row);
+    };
+    DecoderLayerResult out = layers_[l].forward_causal(
+        x, backend, executor, /*layer_index=*/l, sink);
     x = std::move(out.output);
     result.report.add_layer(std::move(out.report));
   }
@@ -423,10 +371,11 @@ StepResult TransformerModel::prefill_paged_cached(
                        "cached prefill expects " << cached
                                                  << " mapped rows, cache has "
                                                  << kv.len());
-  // Incremental == full-causal was pinned bit-identical in PR 3, so the
-  // suffix steps reproduce exactly the state a private prefill would have
-  // built — including the trimmed-away last prompt row of a whole-prompt
-  // hit, whose re-append forks the shared tail via copy-on-write.
+  // Incremental decode reproduces the full causal pass (the parity tests
+  // pin it), so the suffix steps rebuild exactly the state a private
+  // prefill would have built — including the trimmed-away last prompt row
+  // of a whole-prompt hit, whose re-append forks the shared tail via
+  // copy-on-write.
   StepResult result =
       decode_step_paged(tokens[cached], backend, executor, pool, kv);
   for (std::size_t i = cached + 1; i < tokens.size(); ++i) {
@@ -442,27 +391,10 @@ StepResult TransformerModel::prefill_paged_cached(
 StepResult TransformerModel::decode_step_paged(
     std::size_t token, AttentionBackend backend,
     const GuardedExecutor& executor, KvPagePool& pool, PagedKv& kv) const {
-  const std::size_t pos = kv.len();
-  FLASHABFT_ENSURE_MSG(pos > 0, "decode before prefill");
-  FLASHABFT_ENSURE_MSG(pos < cfg_.max_seq_len,
-                       "cache full at " << pos << " tokens");
-
-  StepResult result;
-  const std::size_t ids[1] = {token};
-  MatrixD x = embedding_.embed_ids(ids, /*start_pos=*/pos);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    DecoderLayerResult out = layers_[l].forward_decode_paged(
-        x, backend, executor, pool, kv, /*layer_index=*/l);
-    x = std::move(out.output);
-    result.report.add_layer(std::move(out.report));
-  }
-  const MatrixD h = dmr_guard(
-      executor, /*index=*/layers_.size(),
-      double(x.rows()) * double(cfg_.model_dim),
-      [&] { return final_norm_.forward(x); }, result.report.final_ops);
-  result.logits = lm_head(h, executor, result.report.final_ops);
-  result.next_token = argmax(result.logits);
-  return result;
+  const GuardedExecutor* const executors[1] = {&executor};
+  PagedKv* const kvs[1] = {&kv};
+  return std::move(decode_step_batch({&token, 1}, executors, backend, pool,
+                                     kvs).front());
 }
 
 std::vector<std::vector<double>> TransformerModel::lm_head_batch(
@@ -624,11 +556,13 @@ GenerationResult TransformerModel::generate(
                                  << " new tokens exceeds max_seq_len "
                                  << cfg_.max_seq_len);
   GenerationResult result;
-  StepResult step = prefill(prompt, backend, executor, cache);
+  StepResult step =
+      prefill_paged(prompt, backend, executor, cache.pool, cache.kv);
   result.tokens.push_back(step.next_token);
   result.report.merge(std::move(step.report));
   while (result.tokens.size() < max_new_tokens) {
-    step = decode_step(result.tokens.back(), backend, executor, cache);
+    step = decode_step_paged(result.tokens.back(), backend, executor,
+                             cache.pool, cache.kv);
     result.tokens.push_back(step.next_token);
     result.report.merge(std::move(step.report));
   }

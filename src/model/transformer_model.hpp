@@ -7,12 +7,14 @@
 // `GuardedExecutor` threads through every layer of a forward; the pass
 // reports through a `ModelReport` (per-layer + per-op-kind rollup).
 //
-// Generation is the serving shape: `prefill` runs the whole prompt once
-// (filling the checksummed `KvCache`), then each `decode_step` embeds one
-// token at the next position, verifies + extends every layer's cache
-// (O(len) per step instead of the O(len^2) full recompute), and produces
-// the next-token logits. `forward_full` is the cache-free oracle the
-// golden-parity tests compare against.
+// Generation is the serving shape: `prefill_paged` runs the whole prompt
+// once (streaming K/V rows into the session's checksummed pool pages), then
+// each decode step embeds one token at the next position, verifies +
+// extends every layer's pages (O(len) per step instead of the O(len^2) full
+// recompute), and produces the next-token logits. There is one decode path,
+// `decode_step_batch`; a single-session step is a batch of one.
+// `forward_full`, the cache-free oracle the golden-parity tests compare
+// against, shares no paged kernel.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,6 @@
 #include <vector>
 
 #include "core/guarded_op.hpp"
-#include "core/kv_cache.hpp"
 #include "core/kv_pool.hpp"
 #include "model/decoder_layer.hpp"
 #include "model/embedding.hpp"
@@ -86,6 +87,19 @@ struct WeightSite {
 
 [[nodiscard]] const char* weight_matrix_name(WeightSite::Matrix matrix);
 
+/// A single-session paged KV store: a private pool sized for one
+/// max_seq_len session and that session's page tables. Built by
+/// `TransformerModel::make_cache`; `generate` runs on it. The pool holds an
+/// atomic, so the holder is neither copyable nor movable — construct it in
+/// place from `make_cache()`.
+struct KvCache {
+  explicit KvCache(const KvPoolConfig& cfg)
+      : pool(cfg), kv(pool.make_session(/*session_id=*/1)) {}
+
+  KvPagePool pool;
+  PagedKv kv;
+};
+
 class TransformerModel {
  public:
   TransformerModel(const TransformerConfig& cfg, std::uint64_t seed);
@@ -97,9 +111,10 @@ class TransformerModel {
   /// Token ids of raw text through the hashed-vocabulary tokenizer.
   [[nodiscard]] std::vector<std::size_t> encode(std::string_view text) const;
 
-  /// An empty cache shaped for this model (num_layers x max_seq_len x
-  /// num_heads*head_dim).
+  /// An empty single-session cache shaped for this model: a private pool
+  /// of `make_pool_config(kCachePageSize, 0, 1)`.
   [[nodiscard]] KvCache make_cache() const;
+  static constexpr std::size_t kCachePageSize = 16;
 
   /// A paged-pool configuration shaped for this model: `page_size`-token
   /// pages, width num_heads*head_dim, one table per layer. `num_pages` = 0
@@ -108,26 +123,13 @@ class TransformerModel {
                                               std::size_t num_pages,
                                               std::size_t sessions) const;
 
-  /// Full-prompt causal pass that fills `cache` (which must be empty) and
-  /// returns the last position's logits — the prefill of a generation
-  /// session, and the producer of its first token.
-  [[nodiscard]] StepResult prefill(const std::vector<std::size_t>& prompt,
-                                   AttentionBackend backend,
-                                   const GuardedExecutor& executor,
-                                   KvCache& cache) const;
-
-  /// One autoregressive step: embeds `token` at position cache.len(),
-  /// verifies + extends every layer's cache, returns next-token logits.
-  [[nodiscard]] StepResult decode_step(std::size_t token,
-                                       AttentionBackend backend,
-                                       const GuardedExecutor& executor,
-                                       KvCache& cache) const;
-
-  /// Paged prefill: the same full-prompt causal pass, K/V rows streamed
-  /// into the session's pool pages. Also the preemption-resume path —
-  /// `tokens` is then prompt + already-generated tokens (minus the last,
-  /// still-undecoded one) and the returned logits are discarded. The
-  /// session's tables must be empty and pages must have been reserved.
+  /// Full-prompt causal pass, K/V rows streamed into the session's pool
+  /// pages; returns the last position's logits — the prefill of a
+  /// generation session, and the producer of its first token. Also the
+  /// preemption-resume path — `tokens` is then prompt + already-generated
+  /// tokens (minus the last, still-undecoded one) and the returned logits
+  /// are discarded. The session's tables must be empty and pages must have
+  /// been reserved.
   [[nodiscard]] StepResult prefill_paged(const std::vector<std::size_t>& tokens,
                                          AttentionBackend backend,
                                          const GuardedExecutor& executor,
@@ -136,7 +138,7 @@ class TransformerModel {
   /// Cached prefill: the first `cached` rows of `tokens` were mapped from
   /// the shared-prefix index (`KvPagePool::acquire_prefix`), so only the
   /// suffix runs — one incremental decode step per remaining token, which
-  /// PR 3 pinned bit-identical to the full causal pass. The returned
+  /// the parity tests pin to the full causal pass. The returned
   /// logits/next_token are the last position's; the reports of every
   /// suffix step merge into one. Appends into a shared tail page fork a
   /// private copy inside the pool (copy-on-write), so `cached` may equal
@@ -148,7 +150,8 @@ class TransformerModel {
 
   /// One autoregressive step over the paged cache: embeds `token` at
   /// position kv.len(), verifies page contents + mapping and extends every
-  /// layer's pages, returns next-token logits.
+  /// layer's pages, returns next-token logits — `decode_step_batch` over a
+  /// batch of one.
   [[nodiscard]] StepResult decode_step_paged(std::size_t token,
                                              AttentionBackend backend,
                                              const GuardedExecutor& executor,
@@ -164,7 +167,7 @@ class TransformerModel {
   /// executor (`executors[i]`, whose tamper hook carries that session's
   /// faults). Results align with the inputs; per-session reports stay
   /// independent for attribution, and outputs on either compute backend
-  /// are bit-identical to per-session `decode_step_paged` calls.
+  /// are bit-identical whatever the batch size.
   [[nodiscard]] std::vector<StepResult> decode_step_batch(
       std::span<const std::size_t> tokens,
       std::span<const GuardedExecutor* const> executors,
@@ -177,7 +180,8 @@ class TransformerModel {
       const std::vector<std::size_t>& tokens, AttentionBackend backend,
       const GuardedExecutor& executor) const;
 
-  /// Greedy generation: prefill + (max_new_tokens - 1) decode steps.
+  /// Greedy generation: prefill_paged + (max_new_tokens - 1)
+  /// decode_step_paged steps on `cache` (which must be empty).
   [[nodiscard]] GenerationResult generate(
       const std::vector<std::size_t>& prompt, std::size_t max_new_tokens,
       AttentionBackend backend, const GuardedExecutor& executor,

@@ -227,8 +227,7 @@ TEST(Dtype, DeriveTolerancesOrdersByPrecisionAndKeepsBitExactKindsAtFloor) {
   }
   // KV verification re-sums stored (already rounded) values: bit-exact at
   // every dtype, so those kinds keep the f32 floor.
-  for (const OpKind kind :
-       {OpKind::kKvCache, OpKind::kKvPage, OpKind::kControlPlane}) {
+  for (const OpKind kind : {OpKind::kKvPage, OpKind::kControlPlane}) {
     EXPECT_EQ(bf16_tol.of(kind).abs_tolerance, 1e-6);
     EXPECT_EQ(bf16_tol.of(kind).rel_tolerance, 0.0);
   }
@@ -249,10 +248,12 @@ TEST(Dtype, F32ModelBitIdenticalToDefaultConfig) {
 
   KvCache legacy_cache = legacy.make_cache();
   KvCache ctx_cache = explicit_f32.make_cache();
-  StepResult a = legacy.prefill(test_prompt(), AttentionBackend::kFlashAbft,
-                                legacy_exec, legacy_cache);
-  StepResult b = explicit_f32.prefill(
-      test_prompt(), AttentionBackend::kFlashAbft, ctx_exec, ctx_cache);
+  StepResult a =
+      legacy.prefill_paged(test_prompt(), AttentionBackend::kFlashAbft,
+                           legacy_exec, legacy_cache.pool, legacy_cache.kv);
+  StepResult b =
+      explicit_f32.prefill_paged(test_prompt(), AttentionBackend::kFlashAbft,
+                                 ctx_exec, ctx_cache.pool, ctx_cache.kv);
   for (int step = 0; step < 6; ++step) {
     ASSERT_EQ(a.next_token, b.next_token) << "step " << step;
     ASSERT_EQ(a.logits.size(), b.logits.size());
@@ -260,10 +261,12 @@ TEST(Dtype, F32ModelBitIdenticalToDefaultConfig) {
       // Bitwise equality, not near-equality: kF32 must be the identity.
       EXPECT_EQ(std::memcmp(&a.logits[i], &b.logits[i], sizeof(double)), 0);
     }
-    a = legacy.decode_step(a.next_token, AttentionBackend::kFlashAbft,
-                           legacy_exec, legacy_cache);
-    b = explicit_f32.decode_step(b.next_token, AttentionBackend::kFlashAbft,
-                                 ctx_exec, ctx_cache);
+    a = legacy.decode_step_paged(a.next_token, AttentionBackend::kFlashAbft,
+                                 legacy_exec, legacy_cache.pool,
+                                 legacy_cache.kv);
+    b = explicit_f32.decode_step_paged(b.next_token,
+                                       AttentionBackend::kFlashAbft, ctx_exec,
+                                       ctx_cache.pool, ctx_cache.kv);
   }
 }
 
@@ -277,36 +280,44 @@ TEST(Dtype, FaultFreeLowPrecisionDecodeRaisesNoAlarms) {
     const TransformerModel model(cfg, 2027);
     const GuardedExecutor exec(calibrated_options(dtype, cfg));
     KvCache cache = model.make_cache();
-    StepResult step = model.prefill(test_prompt(),
-                                    AttentionBackend::kFlashAbft, exec, cache);
+    StepResult step =
+        model.prefill_paged(test_prompt(), AttentionBackend::kFlashAbft, exec,
+                            cache.pool, cache.kv);
     EXPECT_TRUE(step.report.all_accepted_clean()) << dtype_name(dtype);
     for (int i = 0; i < 12; ++i) {
-      step = model.decode_step(step.next_token, AttentionBackend::kFlashAbft,
-                               exec, cache);
+      step = model.decode_step_paged(step.next_token,
+                                     AttentionBackend::kFlashAbft, exec,
+                                     cache.pool, cache.kv);
       EXPECT_TRUE(step.report.all_accepted_clean())
           << dtype_name(dtype) << " decode step " << i;
-      // Clean-KV verification stays bit-exact at low precision: the cache
-      // accumulates the rounded (stored) rows.
+      // Clean-KV verification stays bit-exact at low precision: the pages
+      // accumulate the rounded (stored) rows.
       for (std::size_t l = 0; l < cfg.num_layers; ++l) {
-        EXPECT_EQ(cache.layer(l).verify().check.residual(), 0.0);
+        EXPECT_EQ(cache.pool.verify(cache.kv, l).check.residual(), 0.0);
       }
     }
   }
 }
 
 TEST(Dtype, BlockedAttentionBackendFaultFreeAtLowPrecision) {
-  // Same decode loop through the two-step/blocked ABFT attention backend.
+  // The two-step/blocked ABFT attention backend at bf16: full causal passes
+  // over the prompt and each of 6 greedily extended lengths (paged decode
+  // serves Flash-ABFT only, so the cache-free forward is this backend's
+  // generation shape).
   const TransformerConfig cfg = tiny_model(DType::kBf16);
   const TransformerModel model(cfg, 2028);
   const GuardedExecutor exec(calibrated_options(DType::kBf16, cfg));
-  KvCache cache = model.make_cache();
-  StepResult step = model.prefill(test_prompt(),
-                                  AttentionBackend::kTwoStepAbft, exec, cache);
-  EXPECT_TRUE(step.report.all_accepted_clean());
-  for (int i = 0; i < 6; ++i) {
-    step = model.decode_step(step.next_token, AttentionBackend::kTwoStepAbft,
-                             exec, cache);
-    EXPECT_TRUE(step.report.all_accepted_clean()) << "decode step " << i;
+  std::vector<std::size_t> sequence = test_prompt();
+  for (int i = 0; i <= 6; ++i) {
+    const auto [logits, report] =
+        model.forward_full(sequence, AttentionBackend::kTwoStepAbft, exec);
+    EXPECT_GT(report.rollup()[std::size_t(OpKind::kAttentionTwoStepAbft)]
+                  .checks,
+              0u);
+    EXPECT_TRUE(report.all_accepted_clean()) << "length " << sequence.size();
+    const std::size_t last = logits.rows() - 1;
+    sequence.push_back(TransformerModel::argmax(std::vector<double>(
+        logits.row(last).begin(), logits.row(last).end())));
   }
 }
 

@@ -1,9 +1,10 @@
 // Unit tests of the checksum-protected paged KV pool: page allocation and
 // append across page boundaries, gather/element read parity, page-content
 // and page-table checksum verification, selective checkpoint restoration,
-// the guarded kKvPage op, multi-session isolation, the strided paged
-// Flash-ABFT kernel's parity with the contiguous kernels, and the paged
-// model decode path's token parity with the contiguous KvCache path.
+// the guarded kKvPage op (recovery and escalation), per-layer and
+// multi-session isolation, the strided paged Flash-ABFT kernel's parity
+// with the contiguous kernels, and the paged model decode path's token
+// parity across page sizes and with the cache-free full recompute.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -114,6 +115,14 @@ TEST(KvPool, CleanVerifyHasExactlyZeroResidual) {
   ASSERT_EQ(op.extra_checks.size(), 2u);
   EXPECT_EQ(op.extra_checks[0].residual(), 0.0);  // V columns.
   EXPECT_EQ(op.extra_checks[1].residual(), 0.0);  // page table.
+
+  // Guarded, a clean layer is one clean execution.
+  const GuardedExecutor executor = tight_executor();
+  LayerReport report;
+  EXPECT_TRUE(guarded_page_verify(pool, kv, 0, 0, executor, report));
+  ASSERT_EQ(report.ops.size(), 1u);
+  EXPECT_EQ(report.ops[0].recovery, RecoveryStatus::kCleanFirstTry);
+  EXPECT_EQ(report.ops[0].executions, 1u);
 }
 
 TEST(KvPool, DataCorruptionAlarmsAndGuardedRestoreRecovers) {
@@ -125,7 +134,8 @@ TEST(KvPool, DataCorruptionAlarmsAndGuardedRestoreRecovers) {
   pool.corrupt_k(kv, 0, /*row=*/6, /*col=*/2, /*delta=*/0.75);
   EXPECT_EQ(pool.k_at(kv, 0, 6, 2), before + 0.75);
   const CheckedOp alarmed = pool.verify(kv, 0);
-  EXPECT_NEAR(alarmed.check.residual(), 0.75, 1e-12);
+  EXPECT_NEAR(alarmed.check.residual(), 0.75, 1e-12);  // worst K column.
+  EXPECT_EQ(alarmed.extra_checks[0].residual(), 0.0);  // V untouched.
 
   const GuardedExecutor executor = tight_executor();
   LayerReport report;
@@ -143,6 +153,9 @@ TEST(KvPool, ValueSideCorruptionAlsoRecovers) {
   fill_layer(pool, kv, 1, 5);
   const double before = pool.v_at(kv, 1, 4, 5);
   pool.corrupt_v(kv, 1, 4, 5, -1.25);
+  const CheckedOp alarmed = pool.verify(kv, 1);
+  EXPECT_EQ(alarmed.check.residual(), 0.0);  // K untouched.
+  EXPECT_NEAR(alarmed.extra_checks[0].residual(), 1.25, 1e-12);
 
   const GuardedExecutor executor = tight_executor();
   LayerReport report;
@@ -191,6 +204,45 @@ TEST(KvPool, DoubleFaultPageAndTableRecoverTogether) {
   EXPECT_EQ(pool.k_at(kv, 0, 2, 1), k_before);
   EXPECT_EQ(pool.verify(kv, 0).check.residual(), 0.0);
   EXPECT_EQ(pool.verify(kv, 0).extra_checks[1].residual(), 0.0);
+}
+
+TEST(KvPool, TamperedVerdictEscalatesWithoutFallback) {
+  // A kKvPage op that keeps alarming past the retry budget (the tamper hook
+  // models the checkpoint itself being suspect) escalates — there is no
+  // fallback engine for stored state — and is accepted dirty.
+  KvPagePool pool(small_pool_config());
+  PagedKv kv = pool.make_session(8);
+  fill_layer(pool, kv, 0, 4);
+  GuardedExecutor executor(CheckerConfig{1e-6}, RecoveryPolicy{1});
+  executor.set_tamper([](OpKind kind, std::size_t, std::size_t,
+                         CheckedOp& op) {
+    if (kind == OpKind::kKvPage) op.check.actual += 1.0;
+  });
+  LayerReport report;
+  EXPECT_FALSE(guarded_page_verify(pool, kv, 0, 0, executor, report));
+  ASSERT_EQ(report.ops.size(), 1u);
+  EXPECT_EQ(report.ops[0].kind, OpKind::kKvPage);
+  EXPECT_EQ(report.ops[0].recovery, RecoveryStatus::kEscalated);
+  EXPECT_EQ(report.ops[0].executions, 2u);
+  EXPECT_FALSE(report.all_accepted_clean());
+}
+
+TEST(KvPool, PerLayerTablesAreIndependent) {
+  KvPoolConfig cfg = small_pool_config();
+  cfg.num_layers = 3;
+  KvPagePool pool(cfg);
+  PagedKv kv = pool.make_session(9);
+  for (std::size_t l = 0; l < 3; ++l) fill_layer(pool, kv, l, 5);
+  // An upset in layer 1 shows in layer 1's verify only.
+  pool.corrupt_k(kv, 1, /*row=*/0, /*col=*/0, 0.5);
+  for (const std::size_t l : {0u, 2u}) {
+    const CheckedOp clean = pool.verify(kv, l);
+    EXPECT_EQ(clean.check.residual(), 0.0) << "layer " << l;
+    for (const ChecksumPair& extra : clean.extra_checks) {
+      EXPECT_EQ(extra.residual(), 0.0) << "layer " << l;
+    }
+  }
+  EXPECT_NEAR(pool.verify(kv, 1).check.residual(), 0.5, 1e-12);
 }
 
 TEST(KvPool, FreeSessionReturnsPagesAndSessionsStayIsolated) {
@@ -266,7 +318,10 @@ TEST(KvPool, PagedAttentionMatchesContiguousKernelBitwise) {
   }
 }
 
-TEST(KvPool, PagedModelDecodeMatchesContiguousTokens) {
+// Paged decode is page-size independent (a 4-row-page pool against
+// generate's private 16-row-page cache) and matches the argmax of the
+// cache-free full recompute, which shares no paged kernel.
+TEST(KvPool, PagedModelDecodeMatchesGenerateAndFullRecompute) {
   TransformerConfig cfg;
   cfg.vocab_size = 64;
   cfg.model_dim = 16;
@@ -303,6 +358,18 @@ TEST(KvPool, PagedModelDecodeMatchesContiguousTokens) {
               cfg.num_layers);
   }
   EXPECT_EQ(tokens, golden.tokens);
+
+  std::vector<std::size_t> sequence = prompt;
+  for (const std::size_t token : tokens) {
+    const auto [logits, report] =
+        model.forward_full(sequence, AttentionBackend::kFlashAbft, executor);
+    const std::size_t last = logits.rows() - 1;
+    EXPECT_EQ(TransformerModel::argmax(std::vector<double>(
+                  logits.row(last).begin(), logits.row(last).end())),
+              token)
+        << "at length " << sequence.size();
+    sequence.push_back(token);
+  }
 }
 
 TEST(KvPool, PoolConfigDerivationGuaranteesOneFullSession) {

@@ -69,7 +69,9 @@ TEST(Scheduler, ContinuousSessionMatchesModelGenerate) {
   const ServeResponse response =
       server.submit(make_generation_request(5)).get();
 
-  // The golden oracle: the model's own contiguous-cache generate loop.
+  // Golden oracles: the model's own single-session generate loop, and —
+  // since generate shares the paged kernels with serving — the cache-free
+  // full recompute, which shares none, token by token.
   const GuardedExecutor exec(config.software_checker, config.recovery);
   KvCache cache = server.model().make_cache();
   const GenerationResult golden = server.model().generate(
@@ -77,16 +79,25 @@ TEST(Scheduler, ContinuousSessionMatchesModelGenerate) {
   EXPECT_EQ(response.path, ServePath::kGuardedClean);
   EXPECT_TRUE(response.checksum_clean);
   EXPECT_EQ(response.tokens, golden.tokens);
+  std::vector<std::size_t> sequence = test_prompt();
+  for (const std::size_t token : response.tokens) {
+    const auto [logits, report] = server.model().forward_full(
+        sequence, AttentionBackend::kFlashAbft, exec);
+    const std::size_t last = logits.rows() - 1;
+    EXPECT_EQ(TransformerModel::argmax(std::vector<double>(
+                  logits.row(last).begin(), logits.row(last).end())),
+              token)
+        << "at length " << sequence.size();
+    sequence.push_back(token);
+  }
   EXPECT_EQ(response.decode_steps, 4u);
   EXPECT_GT(response.ttft_us, 0.0);
   EXPECT_GE(response.total_us, response.ttft_us);
   EXPECT_EQ(response.preemptions, 0u);
   EXPECT_EQ(response.counters.alarm_events, 0u);
-  // Each decode step verifies every layer's pages + mapping (kKvPage); the
-  // contiguous cache's kKvCache op never appears in served traffic.
+  // Each decode step verifies every layer's pages + mapping (kKvPage).
   EXPECT_EQ(count_kind(response, OpKind::kKvPage),
             4u * small_model().num_layers);
-  EXPECT_EQ(count_kind(response, OpKind::kKvCache), 0u);
 
   const TelemetrySnapshot s = server.telemetry().snapshot();
   EXPECT_EQ(s.completed, 1u);

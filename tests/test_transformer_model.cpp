@@ -1,5 +1,5 @@
 // Tests of the protected full-model autoregressive stack: golden parity of
-// incremental KV-cache decode against full-sequence recomputation,
+// incremental paged-KV decode against full-sequence recomputation,
 // ModelReport aggregation and per-layer fault attribution, the tied
 // guarded LM head, and KV-corruption recovery inside a decode step.
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@ TransformerConfig small_model() {
 std::vector<std::size_t> test_prompt() { return {7, 42, 3, 3, 19, 60, 11}; }
 
 // Per-layer census of one decoder-only pass: H heads + 4 projections +
-// 2 FFN products (+1 cache check per decode step).
+// 2 FFN products (+1 page check per decode step).
 constexpr std::size_t kLayerOps = 2 + 4 + 2;
 
 TEST(TransformerModel, EncodeProducesVocabBoundedIds) {
@@ -49,12 +49,12 @@ TEST(TransformerModel, PrefillFillsEveryLayerCacheAndReportsFullCensus) {
   KvCache cache = model.make_cache();
   const std::vector<std::size_t> prompt = test_prompt();
 
-  const StepResult step =
-      model.prefill(prompt, AttentionBackend::kFlashAbft, exec, cache);
-  EXPECT_EQ(cache.len(), prompt.size());
+  const StepResult step = model.prefill_paged(
+      prompt, AttentionBackend::kFlashAbft, exec, cache.pool, cache.kv);
+  EXPECT_EQ(cache.kv.len(), prompt.size());
   for (std::size_t l = 0; l < small_model().num_layers; ++l) {
-    EXPECT_EQ(cache.layer(l).len(), prompt.size());
-    EXPECT_EQ(cache.layer(l).verify().check.residual(), 0.0);
+    EXPECT_EQ(cache.kv.len(l), prompt.size());
+    EXPECT_EQ(cache.pool.verify(cache.kv, l).check.residual(), 0.0);
   }
   EXPECT_EQ(step.logits.size(), small_model().vocab_size);
   EXPECT_LT(step.next_token, small_model().vocab_size);
@@ -73,17 +73,18 @@ TEST(TransformerModel, DecodeStepAddsCacheChecksToTheCensus) {
   const TransformerModel model(small_model(), 101);
   const GuardedExecutor exec(CheckerConfig{1e-6}, RecoveryPolicy{});
   KvCache cache = model.make_cache();
-  const StepResult first =
-      model.prefill(test_prompt(), AttentionBackend::kFlashAbft, exec, cache);
-  const StepResult step = model.decode_step(
-      first.next_token, AttentionBackend::kFlashAbft, exec, cache);
-  EXPECT_EQ(cache.len(), test_prompt().size() + 1);
+  const StepResult first = model.prefill_paged(
+      test_prompt(), AttentionBackend::kFlashAbft, exec, cache.pool, cache.kv);
+  const StepResult step = model.decode_step_paged(
+      first.next_token, AttentionBackend::kFlashAbft, exec, cache.pool,
+      cache.kv);
+  EXPECT_EQ(cache.kv.len(), test_prompt().size() + 1);
   const ModelOpRollup rollup = step.report.rollup();
-  EXPECT_EQ(rollup[std::size_t(OpKind::kKvCache)].checks,
+  EXPECT_EQ(rollup[std::size_t(OpKind::kKvPage)].checks,
             small_model().num_layers);
   for (std::size_t l = 0; l < small_model().num_layers; ++l) {
     EXPECT_EQ(step.report.layers[l].ops.size(), kLayerOps + 1);
-    EXPECT_EQ(step.report.layers[l].count(OpKind::kKvCache), 1u);
+    EXPECT_EQ(step.report.layers[l].count(OpKind::kKvPage), 1u);
   }
   EXPECT_TRUE(step.report.all_accepted_clean());
 }
@@ -119,8 +120,8 @@ TEST(TransformerModel, IncrementalDecodeMatchesFullRecompute) {
   // And the logits themselves agree within checker-level tolerance: rerun
   // the incremental path capturing each step's logits.
   KvCache cache2 = model.make_cache();
-  StepResult step =
-      model.prefill(prompt, AttentionBackend::kFlashAbft, exec, cache2);
+  StepResult step = model.prefill_paged(prompt, AttentionBackend::kFlashAbft,
+                                        exec, cache2.pool, cache2.kv);
   std::vector<std::size_t> replay = prompt;
   for (std::size_t t = 0; t < kNewTokens; ++t) {
     const auto [logits, report] =
@@ -133,8 +134,9 @@ TEST(TransformerModel, IncrementalDecodeMatchesFullRecompute) {
     EXPECT_LT(worst, 1e-9) << "logit drift at step " << t;
     replay.push_back(step.next_token);
     if (t + 1 < kNewTokens) {
-      step = model.decode_step(step.next_token, AttentionBackend::kFlashAbft,
-                               exec, cache2);
+      step = model.decode_step_paged(step.next_token,
+                                     AttentionBackend::kFlashAbft, exec,
+                                     cache2.pool, cache2.kv);
     }
   }
 }
@@ -171,8 +173,8 @@ TEST(TransformerModel, ModelReportAttributesFaultsToLayerAndKind) {
   });
 
   KvCache cache = model.make_cache();
-  const StepResult step =
-      model.prefill(test_prompt(), AttentionBackend::kFlashAbft, exec, cache);
+  const StepResult step = model.prefill_paged(
+      test_prompt(), AttentionBackend::kFlashAbft, exec, cache.pool, cache.kv);
 
   const ModelOpRollup total = step.report.rollup();
   EXPECT_EQ(total[std::size_t(OpKind::kAttentionFlashAbft)].alarms, 1u);
@@ -195,8 +197,9 @@ TEST(TransformerModel, ModelReportAttributesFaultsToLayerAndKind) {
   EXPECT_TRUE(step.report.all_accepted_clean());
   const GuardedExecutor clean_exec(CheckerConfig{1e-6}, RecoveryPolicy{});
   KvCache clean_cache = model.make_cache();
-  const StepResult golden = model.prefill(
-      test_prompt(), AttentionBackend::kFlashAbft, clean_exec, clean_cache);
+  const StepResult golden =
+      model.prefill_paged(test_prompt(), AttentionBackend::kFlashAbft,
+                          clean_exec, clean_cache.pool, clean_cache.kv);
   EXPECT_EQ(step.next_token, golden.next_token);
   for (std::size_t v = 0; v < cfg.vocab_size; ++v) {
     EXPECT_EQ(step.logits[v], golden.logits[v]);
@@ -211,26 +214,28 @@ TEST(TransformerModel, KvCorruptionBetweenStepsIsRepairedInPlace) {
   // Golden: two clean decode steps.
   KvCache golden_cache = model.make_cache();
   StepResult golden =
-      model.prefill(prompt, AttentionBackend::kFlashAbft, exec, golden_cache);
-  golden = model.decode_step(golden.next_token, AttentionBackend::kFlashAbft,
-                             exec, golden_cache);
+      model.prefill_paged(prompt, AttentionBackend::kFlashAbft, exec,
+                          golden_cache.pool, golden_cache.kv);
+  golden = model.decode_step_paged(golden.next_token,
+                                   AttentionBackend::kFlashAbft, exec,
+                                   golden_cache.pool, golden_cache.kv);
 
   // Same run, but a storage upset lands in layer 1's cached K between the
   // prefill and the decode step.
   KvCache cache = model.make_cache();
-  StepResult step =
-      model.prefill(prompt, AttentionBackend::kFlashAbft, exec, cache);
-  cache.layer(1).corrupt_k(2, 5, 2.0);
-  step = model.decode_step(step.next_token, AttentionBackend::kFlashAbft,
-                           exec, cache);
+  StepResult step = model.prefill_paged(prompt, AttentionBackend::kFlashAbft,
+                                        exec, cache.pool, cache.kv);
+  cache.pool.corrupt_k(cache.kv, 1, 2, 5, 2.0);
+  step = model.decode_step_paged(step.next_token, AttentionBackend::kFlashAbft,
+                                 exec, cache.pool, cache.kv);
 
-  // Detected in layer 1's cache check, repaired from the checkpoint, and
+  // Detected in layer 1's page check, repaired from the checkpoint, and
   // the step's logits are exactly the golden run's.
   const ModelOpRollup l1 = step.report.layer_rollup(1);
-  EXPECT_EQ(l1[std::size_t(OpKind::kKvCache)].alarms, 1u);
-  EXPECT_EQ(l1[std::size_t(OpKind::kKvCache)].recovered, 1u);
+  EXPECT_EQ(l1[std::size_t(OpKind::kKvPage)].alarms, 1u);
+  EXPECT_EQ(l1[std::size_t(OpKind::kKvPage)].recovered, 1u);
   const ModelOpRollup l0 = step.report.layer_rollup(0);
-  EXPECT_EQ(l0[std::size_t(OpKind::kKvCache)].alarms, 0u);
+  EXPECT_EQ(l0[std::size_t(OpKind::kKvPage)].alarms, 0u);
   EXPECT_TRUE(step.report.all_accepted_clean());
   EXPECT_EQ(step.next_token, golden.next_token);
   for (std::size_t v = 0; v < small_model().vocab_size; ++v) {
@@ -240,10 +245,10 @@ TEST(TransformerModel, KvCorruptionBetweenStepsIsRepairedInPlace) {
 
 // The continuous-batching sweep must not change a single bit: at every
 // batch size, each session's logits and next token from decode_step_batch
-// equal an independent per-session decode_step_paged run over the same
-// prompt, step after step. The shape puts the FFN and the vocabulary past
-// one 256-column weight-stationary block, with widths that are not
-// multiples of it.
+// equal an independent single-session decode_step_paged run (a batch of
+// one) over the same prompt, step after step. The shape puts the FFN and
+// the vocabulary past one 256-column weight-stationary block, with widths
+// that are not multiples of it.
 TEST(TransformerModel, DecodeStepBatchMatchesPerSessionDecodeBitwise) {
   TransformerConfig cfg = small_model();
   cfg.vocab_size = 300;
