@@ -5,12 +5,17 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "attention/flash_attention2.hpp"
 #include "attention/lazy_softmax_attention.hpp"
 #include "attention/reference_attention.hpp"
 #include "core/flash_abft.hpp"
+#include "core/guarded_op.hpp"
 #include "core/matmul_abft.hpp"
+#include "model/linear.hpp"
 #include "numerics/bfloat16.hpp"
 #include "numerics/exp_unit.hpp"
 #include "tensor/backend.hpp"
@@ -142,6 +147,125 @@ void BM_BackendTwoStepAbft(benchmark::State& state) {
   state.SetLabel(backend_name(backend));
 }
 
+// --- dense product kernels per ISA compile (range(1): WideIsa) ---
+// The perfbench model's 24 decode matrices (4 layers x Q, K, V, output
+// projection, FFN up and down at model width 256, FFN width 1024): ~25 MB
+// of weights, larger than L2, so the weights stream from L3 or memory as
+// in serving.
+
+struct DecodeMatrices {
+  std::vector<Linear> layers;
+  std::vector<Linear::InputChecksums> cached;
+
+  /// One random `rows`-row input per matrix.
+  std::vector<MatrixD> inputs(std::size_t rows) const {
+    std::vector<MatrixD> x;
+    Rng rng(rows);
+    for (const Linear& layer : layers) {
+      x.emplace_back(rows, layer.in_features());
+      fill_gaussian(x.back(), rng);
+    }
+    return x;
+  }
+
+  std::int64_t macs(std::size_t rows) const {
+    double total = 0.0;
+    for (const Linear& layer : layers) total += layer.forward_cost(rows);
+    return std::int64_t(total);
+  }
+};
+
+const DecodeMatrices& decode_matrices() {
+  static const DecodeMatrices matrices = [] {
+    constexpr std::size_t kModel = 256, kFfn = 1024, kLayers = 4;
+    DecodeMatrices m;
+    Rng rng(2026);
+    for (std::size_t l = 0; l < kLayers; ++l) {
+      for (std::size_t p = 0; p < 4; ++p) {
+        m.layers.push_back(Linear::random_init(kModel, kModel, rng));
+      }
+      m.layers.push_back(Linear::random_init(kModel, kFfn, rng));
+      m.layers.push_back(Linear::random_init(kFfn, kModel, rng));
+    }
+    for (const Linear& layer : m.layers) {
+      m.cached.push_back(layer.input_checksums());
+    }
+    return m;
+  }();
+  return matrices;
+}
+
+/// Runs range(1)'s compile for one benchmark's lifetime; `ok` is false
+/// (and the benchmark skipped) when the CPU does not execute it.
+class PinnedIsa {
+ public:
+  explicit PinnedIsa(benchmark::State& state) : before_(wide_isa()) {
+    const auto isa = static_cast<WideIsa>(state.range(1));
+    ok = cpu_supports(isa);
+    if (!ok) {
+      state.SkipWithError((std::string(wide_isa_name(isa)) +
+                           " is not supported by this CPU").c_str());
+      return;
+    }
+    pin_wide_isa(isa);
+    state.SetLabel(wide_isa_name(isa));
+  }
+  ~PinnedIsa() { pin_wide_isa(before_); }
+  PinnedIsa(const PinnedIsa&) = delete;
+  PinnedIsa& operator=(const PinnedIsa&) = delete;
+
+  bool ok = false;
+
+ private:
+  WideIsa before_;
+};
+
+/// One decode sweep's guarded projections and FFN products at range(0)
+/// sessions (one stacked row each): the shared product, the per-session
+/// checksum pairs and the guarded-op bookkeeping, as decode_step_batch
+/// runs them.
+void BM_BackendDecodeLinear(benchmark::State& state) {
+  const std::size_t rows = std::size_t(state.range(0));
+  const DecodeMatrices& m = decode_matrices();
+  const PinnedIsa pinned(state);
+  if (!pinned.ok) return;
+  GuardedExecutor::Options options;
+  options.compute = ComputeBackend::kSimd;
+  const GuardedExecutor executor(options);
+  const std::vector<const GuardedExecutor*> executors(rows, &executor);
+  const std::vector<std::size_t> groups(rows, 1);
+  const std::vector<MatrixD> inputs = m.inputs(rows);
+  for (auto _ : state) {
+    std::vector<LayerReport> reports(rows);
+    std::vector<LayerReport*> report_ptrs;
+    for (LayerReport& report : reports) report_ptrs.push_back(&report);
+    for (std::size_t i = 0; i < m.layers.size(); ++i) {
+      benchmark::DoNotOptimize(guarded_linear_batch(
+          m.layers[i], inputs[i], groups, OpKind::kProjection, i, executors,
+          report_ptrs, &m.cached[i]));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * m.macs(rows));
+}
+
+/// A 16-token prompt's fused, checked products over the same matrices (the
+/// prefill shape: backend_linear_fused with the cached input sums).
+void BM_BackendPrefillLinear(benchmark::State& state) {
+  const std::size_t rows = std::size_t(state.range(0));
+  const DecodeMatrices& m = decode_matrices();
+  const PinnedIsa pinned(state);
+  if (!pinned.ok) return;
+  const std::vector<MatrixD> inputs = m.inputs(rows);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < m.layers.size(); ++i) {
+      benchmark::DoNotOptimize(backend_linear_fused(
+          inputs[i], m.layers[i].weight(), m.layers[i].bias(),
+          ComputeBackend::kSimd, DType::kF32, &m.cached[i]));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * m.macs(rows));
+}
+
 void BM_HardwareExp(benchmark::State& state) {
   double x = -0.37;
   for (auto _ : state) {
@@ -182,6 +306,13 @@ BENCHMARK(BM_BackendFlashAbft)
     ->Args({512, 128, 0})
     ->Args({512, 128, 1});
 BENCHMARK(BM_BackendTwoStepAbft)->Args({512, 64, 0})->Args({512, 64, 1});
+// Args: {rows, WideIsa} — 0 baseline, 1 AVX2, 2 AVX-512F.
+BENCHMARK(BM_BackendDecodeLinear)
+    ->ArgsProduct({{1, 2, 4}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BackendPrefillLinear)
+    ->ArgsProduct({{16}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HardwareExp);
 BENCHMARK(BM_Bf16RoundTrip);
 

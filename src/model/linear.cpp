@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "tensor/product_tile.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace flashabft {
@@ -51,19 +52,18 @@ void Linear::quantize(DType dtype) {
 
 namespace {
 
-/// Columns of W per weight-stationary sweep: one block of every stacked row
-/// of y (at most 15 rows x 2 KiB on the kSimd decode path) stays in L1
-/// while the W rows' segments stream past it.
-constexpr std::size_t kColumnBlock = 256;
-
-/// Raw-pointer y = x W (+ bias), weight-stationary: for each column block
-/// of W, each W row segment is loaded once and applied to every stacked row
-/// of x, so a batch streams W once instead of once per row. Every element
-/// still accumulates in `matmul`'s order (k ascending, zero x entries
-/// skipped, bias added after the full sum), so rows are bit-identical to
-/// Linear::forward / scalar_fused, without the per-element bounds checks
-/// the hot batched path cannot afford. Elementwise only: carries the ISA
-/// dispatch.
+/// Raw-pointer y = x W (+ bias), weight-stationary: for each 256-column
+/// block of W, each W row segment is loaded once and applied to every
+/// stacked row of x, so a batch streams W once instead of once per row.
+/// Every element still accumulates in `matmul`'s order (k ascending, zero x
+/// entries skipped, bias added after the full sum), so rows are
+/// bit-identical to Linear::forward / scalar_fused, without the
+/// per-element bounds checks the hot batched path cannot afford. The
+/// AVX-512F compile runs the product through the register tile
+/// (tensor/product_tile.hpp); the narrower ones keep the axpy loop, which
+/// reads and writes each y segment once per k. Elementwise only: carries
+/// the ISA dispatch.
+template <WideIsa isa>
 [[gnu::always_inline]] inline MatrixD raw_linear_scalar_body(
     const MatrixD& x, const MatrixD& w, std::span<const double> bias) {
   const std::size_t rows = x.rows();
@@ -73,23 +73,27 @@ constexpr std::size_t kColumnBlock = 256;
   const double* x_data = x.flat().data();
   const double* w_data = w.flat().data();
   double* y_data = y.flat().data();
-  for (std::size_t j0 = 0; j0 < out; j0 += kColumnBlock) {
-    const std::size_t width = std::min(kColumnBlock, out - j0);
-    for (std::size_t k = 0; k < inner; ++k) {
-      const double* w_seg = w_data + k * out + j0;
-      for (std::size_t i = 0; i < rows; ++i) {
-        const double aik = x_data[i * inner + k];
-        if (aik == 0.0) continue;
-        simd::axpy(y_data + i * out + j0, aik, w_seg, width);
+  if constexpr (isa == WideIsa::kAvx512f) {
+    product_tile::tiled_product</*kSkipZeros=*/true>(x_data, inner, w_data,
+                                                     out, y_data, rows);
+  } else {
+    for (std::size_t j0 = 0; j0 < out; j0 += product_tile::kColumnBlock) {
+      const std::size_t width = std::min(product_tile::kColumnBlock, out - j0);
+      for (std::size_t k = 0; k < inner; ++k) {
+        const double* w_seg = w_data + k * out + j0;
+        for (std::size_t i = 0; i < rows; ++i) {
+          const double aik = x_data[i * inner + k];
+          if (aik == 0.0) continue;
+          simd::axpy(y_data + i * out + j0, aik, w_seg, width);
+        }
       }
     }
-    if (!bias.empty()) {
-      const double* b_seg = bias.data() + j0;
-      for (std::size_t i = 0; i < rows; ++i) {
-        double* y_seg = y_data + i * out + j0;
-        FLASHABFT_PRAGMA(omp simd)
-        for (std::size_t j = 0; j < width; ++j) y_seg[j] += b_seg[j];
-      }
+  }
+  if (!bias.empty()) {
+    for (std::size_t i = 0; i < rows; ++i) {
+      double* y_row = y_data + i * out;
+      FLASHABFT_PRAGMA(omp simd)
+      for (std::size_t j = 0; j < out; ++j) y_row[j] += bias[j];
     }
   }
   return y;
@@ -193,20 +197,25 @@ std::vector<MatrixD> guarded_linear_batch(
     const std::size_t rows = group_rows[g];
     CheckedOp first;
     first.output = MatrixD(rows, out_cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double* src = y.row(base + r).data();
-      double* dst = first.output.row(r).data();
-      for (std::size_t j = 0; j < out_cols; ++j) {
-        dst[j] = src[j];
-        first.check.actual += src[j];
-      }
+    // The summation orders (element order for actual; k-outer, then rows,
+    // for predicted) are part of the pair's bits: the fault campaign's
+    // baseline reproduces only while they stay.
+    double actual = 0.0;
+    const double* y_group = y.flat().data() + base * out_cols;
+    double* out = first.output.flat().data();
+    for (std::size_t e = 0; e < rows * out_cols; ++e) {
+      out[e] = y_group[e];
+      actual += y_group[e];
     }
+    double predicted = 0.0;
+    const double* x_group = x_stacked.flat().data() + base * inner;
     for (std::size_t k = 0; k < inner; ++k) {
       double col = 0.0;
-      for (std::size_t r = 0; r < rows; ++r) col += x_stacked(base + r, k);
-      first.check.predicted += col * row_w[k];
+      for (std::size_t r = 0; r < rows; ++r) col += x_group[r * inner + k];
+      predicted += col * row_w[k];
     }
-    first.check.predicted += double(rows) * bias_sum;
+    first.check.actual = actual;
+    first.check.predicted = predicted + double(rows) * bias_sum;
 
     // Retries (and the diverse fallback) recompute only this group's rows
     // — the same engine shape as the per-session guarded_linear.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "tensor/product_tile.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace flashabft {
@@ -12,35 +13,43 @@ namespace {
 
 std::atomic<ComputeBackend> g_default_backend{ComputeBackend::kScalar};
 
-/// The product half of the microkernel for C rows [i0, i_end): a block of
-/// kSimdRowTile C rows stays live across a kSimdDepthTile-deep K sweep; the
-/// inner j loop is the vector axis. Every C element accumulates a_ik·b_kj in
-/// ascending k — the scalar `matmul` order — and nothing here reduces across
-/// lanes, so the AVX2 compile is bit-identical to the baseline one. Each A
-/// element is broadcast exactly once (j is not blocked), so this is where
-/// its colsum(A) contribution is taken when `col_a` is non-null.
-[[gnu::always_inline]] inline void product_row_block_body(
-    const MatrixD& a, const MatrixD& b, MatrixD& c, std::size_t i0,
-    std::size_t i_end, double* col_a) {
+/// The product half of the microkernel for C rows [i0, i_end), C += A B.
+/// Every C element accumulates a_ik·b_kj in ascending k — the scalar
+/// `matmul` order — and nothing here reduces across lanes, so every compile
+/// is bit-identical. The AVX-512F compile runs the register tile
+/// (tensor/product_tile.hpp). The narrower ones keep a block of
+/// kSimdRowTile C rows live across a kSimdDepthTile-deep K sweep with the j
+/// loop as the vector axis: at 16 ymm registers the tile spills, and this
+/// order measured faster than the weight-stationary one there.
+template <WideIsa isa>
+[[gnu::always_inline]] inline void product_row_block_body(const MatrixD& a,
+                                                          const MatrixD& b,
+                                                          MatrixD& c,
+                                                          std::size_t i0,
+                                                          std::size_t i_end) {
   const std::size_t depth = a.cols();
   const std::size_t n = b.cols();
-  for (std::size_t k0 = 0; k0 < depth; k0 += kSimdDepthTile) {
-    const std::size_t k_end = std::min(k0 + kSimdDepthTile, depth);
-    for (std::size_t i = i0; i < i_end; ++i) {
-      const double* a_row = a.row(i).data();
-      double* c_row = c.row(i).data();
-      for (std::size_t k = k0; k < k_end; ++k) {
-        const double a_ik = a_row[k];
-        if (col_a != nullptr) col_a[k] += a_ik;
-        simd::axpy(c_row, a_ik, b.row(k).data(), n);
+  if constexpr (isa == WideIsa::kAvx512f) {
+    product_tile::tiled_product</*kSkipZeros=*/false>(
+        a.row(i0).data(), depth, b.flat().data(), n, c.row(i0).data(),
+        i_end - i0);
+  } else {
+    for (std::size_t k0 = 0; k0 < depth; k0 += kSimdDepthTile) {
+      const std::size_t k_end = std::min(k0 + kSimdDepthTile, depth);
+      for (std::size_t i = i0; i < i_end; ++i) {
+        const double* a_row = a.row(i).data();
+        double* c_row = c.row(i).data();
+        for (std::size_t k = k0; k < k_end; ++k) {
+          simd::axpy(c_row, a_row[k], b.row(k).data(), n);
+        }
       }
     }
   }
 }
 FLASHABFT_WIDE_KERNEL(void, product_row_block,
                       (const MatrixD& a, const MatrixD& b, MatrixD& c,
-                       std::size_t i0, std::size_t i_end, double* col_a),
-                      (a, b, c, i0, i_end, col_a))
+                       std::size_t i0, std::size_t i_end),
+                      (a, b, c, i0, i_end))
 
 /// The shared blocked microkernel: C = A * B [+ bias], optionally
 /// accumulating colsum(A) and Σ C in-tile. Each finished C row block is
@@ -62,8 +71,13 @@ FusedMatmul simd_matmul_impl(const MatrixD& a, const MatrixD& b,
 
   for (std::size_t i0 = 0; i0 < m; i0 += kSimdRowTile) {
     const std::size_t i_end = std::min(i0 + kSimdRowTile, m);
-    product_row_block(a, b, result.c, i0, i_end,
-                      fuse_checks ? col_a.data() : nullptr);
+    if (fuse_checks) {
+      for (std::size_t i = i0; i < i_end; ++i) {
+        const double* a_row = a.row(i).data();
+        for (std::size_t k = 0; k < depth; ++k) col_a[k] += a_row[k];
+      }
+    }
+    product_row_block(a, b, result.c, i0, i_end);
     // Finalize this row block while its C rows are hot: bias, storage
     // write-back rounding, then the actual Σ over what was stored.
     for (std::size_t i = i0; i < i_end; ++i) {
@@ -170,7 +184,29 @@ FusedMatmul scalar_fused(const MatrixD& a, const MatrixD& b,
   return result;
 }
 
+WideIsa widest_supported_isa() {
+  if (cpu_has_avx512f()) return WideIsa::kAvx512f;
+  if (cpu_has_avx2()) return WideIsa::kAvx2;
+  return WideIsa::kBaseline;
+}
+
+/// A function-local static, so a FLASHABFT_WIDE_KERNEL call from another
+/// translation unit's static initializer still sees the probed value.
+std::atomic<WideIsa>& wide_isa_slot() {
+  static std::atomic<WideIsa> slot{widest_supported_isa()};
+  return slot;
+}
+
 }  // namespace
+
+const char* wide_isa_name(WideIsa isa) {
+  switch (isa) {
+    case WideIsa::kBaseline: return "baseline";
+    case WideIsa::kAvx2: return "avx2";
+    case WideIsa::kAvx512f: return "avx512f";
+  }
+  return "?";
+}
 
 bool cpu_has_avx2() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -182,6 +218,35 @@ bool cpu_has_avx2() {
 #else
   return false;
 #endif
+}
+
+bool cpu_has_avx512f() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+bool cpu_supports(WideIsa isa) {
+  switch (isa) {
+    case WideIsa::kBaseline: return true;
+    case WideIsa::kAvx2: return cpu_has_avx2();
+    case WideIsa::kAvx512f: return cpu_has_avx512f();
+  }
+  return false;
+}
+
+WideIsa wide_isa() { return wide_isa_slot().load(std::memory_order_relaxed); }
+
+void pin_wide_isa(WideIsa isa) {
+  FLASHABFT_ENSURE_MSG(cpu_supports(isa), "this CPU does not execute "
+                                              << wide_isa_name(isa));
+  wide_isa_slot().store(isa, std::memory_order_relaxed);
 }
 
 const char* backend_name(ComputeBackend backend) {

@@ -6,15 +6,16 @@
 //   * kScalar — the bounds-checked reference triple loops of
 //     tensor/tensor_ops.hpp. Bit-stable goldens; the engine every parity
 //     test and every fallback execution runs on.
-//   * kSimd   — blocked, vectorized kernels: register-tiled microkernel
-//     (kSimdRowTile output rows live across a kSimdDepthTile-deep K sweep),
-//     raw-pointer rows, `#pragma omp simd` inner loops (portable: honored
-//     under -fopenmp-simd, harmless auto-vectorizable C++ otherwise).
+//   * kSimd   — blocked, vectorized kernels: a microkernel over
+//     kSimdRowTile output rows (an AVX-512F register tile where the CPU has
+//     it, else a kSimdDepthTile-deep K sweep), raw-pointer rows,
+//     `#pragma omp simd` inner loops (portable: honored under
+//     -fopenmp-simd, harmless auto-vectorizable C++ otherwise).
 //
 // Checksum fusion contract: the `*_fused` kernels produce the classic
 // matmul-ABFT pair (predicted = dot(colsum(A), rowsum(B)) [+ n·Σbias],
 // actual = Σ C) *inside the same tiles* as the product — colsum(A)
-// accumulates as each A element is broadcast into the microkernel, and the
+// accumulates over each row block of A just before its product, and the
 // actual checksum is reduced from each output row block while it is still
 // cache-hot — so the checked product never takes a second pass over its
 // output. (rowsum(B) is an input-side checksum, computed once as B streams
@@ -46,27 +47,42 @@
 
 // Runtime ISA dispatch for width-independent kernels (DESIGN.md §7).
 // FLASHABFT_WIDE_KERNEL(ret, name, params, args) defines `name` over the
-// always-inline `name##_body`. On x86-64 the body is compiled once for AVX2
-// and once for the baseline ISA, and each call runs the AVX2 compile when
-// cpu_has_avx2(). Only loops whose per-element arithmetic is the same at
-// every vector width (elementwise mul/add; no reductions, whose lane split
-// follows the width) may use it. FMA is never enabled and the build pins
+// always-inline `template <WideIsa> name##_body`. On x86-64 the body is
+// compiled three times — with target("avx512f"), with target("avx2") and for
+// the baseline ISA — and each call runs the compile wide_isa() names: the
+// widest the CPU executes, unless pin_wide_isa() narrowed it. The template
+// argument lets a body pick a register tile sized for its compile's vector
+// registers. Only loops whose per-element arithmetic is the same at every
+// vector width (elementwise mul/add; no reductions, whose lane split follows
+// the width) may use it. Each compile stays a function of its own
+// (noinline), so its hot loop keeps one register allocation and alignment
+// whatever the caller looks like. FMA is never enabled and the build pins
 // -ffp-contract=off, so every output element is the same IEEE mul/add
-// sequence on either compile. The choice is a plain branch, not
+// sequence on every compile. The choice is a plain branch, not
 // target_clones: an ifunc resolver runs before ThreadSanitizer's runtime is
 // up and crashes instrumented binaries at load.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FLASHABFT_WIDE_KERNEL(ret, name, params, args)                       \
-  __attribute__((target("avx2"))) ret name##_avx2 params {                   \
-    return name##_body args;                                                 \
+  __attribute__((target("avx512f"), noinline)) ret name##_avx512f params {  \
+    return name##_body<WideIsa::kAvx512f> args;                              \
   }                                                                          \
-  ret name##_baseline params { return name##_body args; }                    \
+  __attribute__((target("avx2"), noinline)) ret name##_avx2 params {        \
+    return name##_body<WideIsa::kAvx2> args;                                 \
+  }                                                                          \
+  __attribute__((noinline)) ret name##_baseline params {                     \
+    return name##_body<WideIsa::kBaseline> args;                             \
+  }                                                                          \
   ret name params {                                                          \
-    return cpu_has_avx2() ? name##_avx2 args : name##_baseline args;         \
+    switch (wide_isa()) {                                                    \
+      case WideIsa::kAvx512f: return name##_avx512f args;                    \
+      case WideIsa::kAvx2: return name##_avx2 args;                          \
+      case WideIsa::kBaseline: break;                                        \
+    }                                                                        \
+    return name##_baseline args;                                             \
   }
 #else
 #define FLASHABFT_WIDE_KERNEL(ret, name, params, args) \
-  ret name params { return name##_body args; }
+  ret name params { return name##_body<WideIsa::kBaseline> args; }
 #endif
 
 namespace flashabft {
@@ -84,9 +100,33 @@ inline constexpr std::size_t kComputeBackendCount = 2;
 [[nodiscard]] std::optional<ComputeBackend> parse_backend(
     std::string_view name);
 
-/// Whether the running CPU executes AVX2 (probed once; false off x86-64).
-/// FLASHABFT_WIDE_KERNEL branches on it.
+/// The instruction sets FLASHABFT_WIDE_KERNEL compiles a body for,
+/// narrowest first.
+enum class WideIsa {
+  kBaseline = 0,  ///< the build's ISA (x86-64: SSE2).
+  kAvx2,          ///< target("avx2"): 16 ymm registers of 4 doubles.
+  kAvx512f,       ///< target("avx512f"): 32 zmm registers of 8 doubles.
+};
+
+[[nodiscard]] const char* wide_isa_name(WideIsa isa);
+
+/// Whether the running CPU executes AVX2 / AVX-512F (probed once; false off
+/// x86-64).
 [[nodiscard]] bool cpu_has_avx2();
+[[nodiscard]] bool cpu_has_avx512f();
+
+/// Whether the running CPU executes `isa`'s compile (kBaseline always).
+[[nodiscard]] bool cpu_supports(WideIsa isa);
+
+/// The compile every FLASHABFT_WIDE_KERNEL call runs: the widest one
+/// cpu_supports(), unless pin_wide_isa() chose another.
+[[nodiscard]] WideIsa wide_isa();
+
+/// Runs every FLASHABFT_WIDE_KERNEL call on `isa`'s compile from now on,
+/// process-wide; `isa` must be cpu_supports()-ed. The compiles produce the
+/// same bits, so this changes speed only: the parity suite and the kernel
+/// benchmarks use it to run each compile the host supports.
+void pin_wide_isa(WideIsa isa);
 
 /// Process-wide default backend (thread-safe; initial value kScalar). It
 /// seeds `FlashAbftOptions::backend`, `GuardedExecutor::Options::compute`

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -242,12 +243,14 @@ GuardedExecutor::Options executor_options(ComputeBackend backend) {
 
 // --- Bit-exact product kernels -------------------------------------------
 //
-// The vectorized product loops (including their AVX2 clones) only widen
-// elementwise mul/add, so every output element is the same IEEE sequence as
-// the scalar `matmul`: k ascending, zero x entries contributing nothing,
-// bias added after the full sum. These tests hold that to the bit, over
-// shapes that are not multiples of the row tile (4), the depth tile (64) or
-// the weight-stationary column block (256).
+// The vectorized product loops (the AVX2 axpy compile and the AVX-512F
+// register tile included) only widen elementwise mul/add, so every output
+// element is the same IEEE sequence as the scalar `matmul`: k ascending,
+// zero x entries contributing nothing, bias added after the full sum. These
+// tests hold that to the bit on every compile the host CPU executes, over
+// shapes that are not multiples of the row tile (4), the depth tile (64),
+// the register tile (4 rows x 32 columns, k in chunks of 8) or the
+// weight-stationary column block (256).
 
 /// The same IEEE doubles, not merely close ones.
 void expect_bitwise_equal(const MatrixD& got, const MatrixD& want,
@@ -271,9 +274,64 @@ struct LinearShape {
 };
 
 const std::vector<LinearShape>& bit_exact_shapes() {
+  // The second line falls off the register tile: output widths one short
+  // of, at and one past its 32 columns and the 256-column block, four full
+  // blocks, and inner widths around the k chunk of 8 plus a 1025-deep one.
   static const std::vector<LinearShape> shapes = {
-      {1, 1}, {3, 5}, {63, 7}, {65, 66}, {130, 257}, {257, 300}, {31, 513}};
+      {1, 1},  {3, 5},   {63, 7},    {65, 66},  {130, 257}, {257, 300},
+      {31, 513}, {7, 31}, {8, 32},   {9, 33},   {9, 255},   {8, 257},
+      {7, 1024}, {1025, 33}};
   return shapes;
+}
+
+/// Row counts: every remainder of the 4-row tile, then 16 (the first
+/// stacked decode batch that takes the tiled matmul) and 33.
+const std::vector<std::size_t>& bit_exact_rows() {
+  static const std::vector<std::size_t> rows = {1, 2, 3, 4,  5,
+                                                6, 7, 8, 9, 16, 33};
+  return rows;
+}
+
+}  // namespace
+
+// gtest names the parameter of a failing BitExactPerIsa case with this.
+void PrintTo(WideIsa isa, std::ostream* os) { *os << wide_isa_name(isa); }
+
+namespace {
+
+/// Runs each test on one FLASHABFT_WIDE_KERNEL compile (the parameter),
+/// skipped when the host CPU does not execute it.
+class BitExactPerIsa : public ::testing::TestWithParam<WideIsa> {
+ protected:
+  void SetUp() override {
+    if (!cpu_supports(GetParam())) {
+      GTEST_SKIP() << wide_isa_name(GetParam())
+                   << " is not supported by this CPU";
+    }
+    pin_wide_isa(GetParam());
+  }
+  void TearDown() override { pin_wide_isa(before_); }
+
+ private:
+  WideIsa before_ = wide_isa();
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, BitExactPerIsa,
+    ::testing::Values(WideIsa::kBaseline, WideIsa::kAvx2, WideIsa::kAvx512f),
+    [](const ::testing::TestParamInfo<WideIsa>& info) {
+      return std::string(wide_isa_name(info.param));
+    });
+
+TEST(Backend, WideIsaDispatchDefaultsToTheWidestSupportedCompile) {
+  WideIsa widest = WideIsa::kBaseline;
+  for (const WideIsa isa : {WideIsa::kAvx2, WideIsa::kAvx512f}) {
+    if (cpu_supports(isa)) widest = isa;
+  }
+  EXPECT_EQ(wide_isa(), widest);
+  EXPECT_TRUE(cpu_supports(WideIsa::kBaseline));
+  EXPECT_EQ(cpu_supports(WideIsa::kAvx2), cpu_has_avx2());
+  EXPECT_EQ(cpu_supports(WideIsa::kAvx512f), cpu_has_avx512f());
 }
 
 /// Gaussian input with exact zeros: every third entry, the whole second
@@ -313,10 +371,10 @@ Linear bit_exact_layer(const LinearShape& shape, bool with_bias) {
   return layer;
 }
 
-TEST(Backend, SimdMatmulIsBitExactWithReference) {
+TEST_P(BitExactPerIsa, SimdMatmulIsBitExactWithReference) {
   for (const LinearShape& shape : bit_exact_shapes()) {
     const MatrixD w = random_matrix(shape.inner, shape.out, shape.out + 5);
-    for (std::size_t rows = 1; rows <= 9; ++rows) {
+    for (const std::size_t rows : bit_exact_rows()) {
       const MatrixD x = input_with_zeros(rows, shape.inner, rows * 31);
       expect_bitwise_equal(backend_matmul(x, w, ComputeBackend::kSimd),
                            matmul(x, w),
@@ -327,12 +385,12 @@ TEST(Backend, SimdMatmulIsBitExactWithReference) {
   }
 }
 
-TEST(Backend, SimdLinearFusedIsBitExactWithReference) {
+TEST_P(BitExactPerIsa, SimdLinearFusedIsBitExactWithReference) {
   for (const bool with_bias : {false, true}) {
     for (const LinearShape& shape : bit_exact_shapes()) {
       const Linear layer = bit_exact_layer(shape, with_bias);
       const Linear::InputChecksums cached = layer.input_checksums();
-      for (std::size_t rows = 1; rows <= 9; ++rows) {
+      for (const std::size_t rows : bit_exact_rows()) {
         const MatrixD x = input_with_zeros(rows, shape.inner, rows * 37);
         const MatrixD want =
             reference_linear(x, layer.weight(), layer.bias());
@@ -355,12 +413,13 @@ TEST(Backend, SimdLinearFusedIsBitExactWithReference) {
   }
 }
 
-TEST(Backend, StackedDecodeLinearIsBitExactWithReference) {
+TEST_P(BitExactPerIsa, StackedDecodeLinearIsBitExactWithReference) {
   // guarded_linear_batch's shared product: one row per group (the decode
   // sweep's shape) and one group holding every row, on both backends. Up to
-  // 15 rows this is the weight-stationary raw loop; 17 rows takes the tiled
-  // SIMD microkernel on kSimd.
-  const std::vector<std::size_t> row_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17};
+  // 15 rows this is the weight-stationary raw loop; from 16 rows kSimd takes
+  // the tiled SIMD microkernel.
+  std::vector<std::size_t> row_counts = bit_exact_rows();
+  row_counts.push_back(17);
   for (const ComputeBackend backend :
        {ComputeBackend::kScalar, ComputeBackend::kSimd}) {
     const GuardedExecutor executor(executor_options(backend));
