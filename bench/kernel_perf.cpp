@@ -14,6 +14,7 @@
 #include "attention/reference_attention.hpp"
 #include "core/flash_abft.hpp"
 #include "core/guarded_op.hpp"
+#include "core/kv_pool.hpp"
 #include "core/matmul_abft.hpp"
 #include "model/linear.hpp"
 #include "numerics/bfloat16.hpp"
@@ -131,6 +132,38 @@ void BM_BackendFlashAbft(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n * d);
   state.SetLabel(backend_name(options.context.backend));
+}
+
+/// One decode head over the paged KV pool at the serving shape: range(0)
+/// cached rows on 16-row pages, rows 256 wide (4 heads of range(1) dims),
+/// the single query attending head 0 — one kAttentionFlashAbft op of the
+/// decode sweep.
+void BM_BackendPagedDecodeHead(benchmark::State& state) {
+  const std::size_t rows = std::size_t(state.range(0));
+  const std::size_t d = std::size_t(state.range(1));
+  KvPoolConfig cfg;
+  cfg.page_size = 16;
+  cfg.width = 256;
+  cfg.num_layers = 1;
+  cfg.num_pages = (rows + cfg.page_size - 1) / cfg.page_size;
+  KvPagePool pool(cfg);
+  PagedKv kv = pool.make_session(1);
+  Rng rng(rows * 2654435761ULL + d);
+  MatrixD k(rows, cfg.width), v(rows, cfg.width), q(1, d);
+  fill_gaussian(k, rng);
+  fill_gaussian(v, rng);
+  fill_gaussian(q, rng);
+  for (std::size_t r = 0; r < rows; ++r) pool.append(kv, 0, k.row(r), v.row(r));
+  const std::vector<KvChunk> pages = pool.chunks(kv, 0);
+  const KernelContext context{backend_of(state)};
+  const double scale = 1.0 / std::sqrt(double(d));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        paged_flash_abft_head(q, pages, cfg.width, /*head=*/0, scale,
+                              context));
+  }
+  state.SetItemsProcessed(state.iterations() * rows * d);
+  state.SetLabel(backend_name(context.backend));
 }
 
 void BM_BackendTwoStepAbft(benchmark::State& state) {
@@ -305,6 +338,10 @@ BENCHMARK(BM_BackendFlashAbft)
     ->Args({512, 64, 1})
     ->Args({512, 128, 0})
     ->Args({512, 128, 1});
+BENCHMARK(BM_BackendPagedDecodeHead)
+    ->Args({80, 64, 0})
+    ->Args({80, 64, 1})
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BackendTwoStepAbft)->Args({512, 64, 0})->Args({512, 64, 1});
 // Args: {rows, WideIsa} — 0 baseline, 1 AVX2, 2 AVX-512F.
 BENCHMARK(BM_BackendDecodeLinear)

@@ -13,9 +13,11 @@
 #include <cmath>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/recovery.hpp"
+#include "core/flash_abft.hpp"
+#include "core/guarded_op.hpp"
 #include "model/embedding.hpp"
 #include "model/encoder_layer.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -45,7 +47,6 @@ int main() {
   std::vector<EncoderLayer> stack;
   for (int layer = 0; layer < 4; ++layer) stack.emplace_back(lcfg, rng);
 
-  const Checker checker(CheckerConfig{1e-6});
   const GuardedExecutor executor(CheckerConfig{1e-6}, RecoveryPolicy{});
   std::size_t total_alarms = 0;
   for (std::size_t layer = 0; layer < stack.size(); ++layer) {
@@ -74,22 +75,26 @@ int main() {
   fill_gaussian(k, wrng);
   fill_gaussian(v, wrng);
 
-  std::size_t faulty_attempts = 1;
-  const GuardedResult guarded = guarded_attention(
-      checker, RecoveryPolicy{2}, [&](std::size_t attempt) {
+  const std::size_t faulty_attempts = 1;
+  const GuardedOp guarded = executor.run(
+      OpKind::kAttentionFlashAbft, /*index=*/0, /*cost=*/0.0,
+      [&](std::size_t attempt) {
         CheckedAttention run = flash_abft_attention(q, k, v, acfg);
+        CheckedOp op;
+        op.output = std::move(run.output);
+        op.check = {run.predicted_checksum, run.actual_checksum};
         if (attempt < faulty_attempts) {
           // Emulate a datapath upset: one output element corrupted, with
           // the actual checksum recomputed the way the readout logic would.
-          run.output(2, 7) += 3e-3;
-          run.actual_checksum += 3e-3;
+          op.output(2, 7) += 3e-3;
+          op.check.actual += 3e-3;
         }
-        return run;
+        return op;
       });
 
   std::cout << "faulty-accelerator run: status="
-            << recovery_status_name(guarded.status) << " after "
-            << guarded.executions << " execution(s)\n"
-            << "final residual: " << guarded.attention.residual() << '\n';
-  return guarded.status == RecoveryStatus::kRecovered ? 0 : 1;
+            << recovery_status_name(guarded.report.recovery) << " after "
+            << guarded.report.executions << " execution(s)\n"
+            << "final residual: " << guarded.report.residual << '\n';
+  return guarded.report.recovery == RecoveryStatus::kRecovered ? 0 : 1;
 }

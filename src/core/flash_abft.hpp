@@ -15,6 +15,8 @@
 // bit-accurate, fault-injectable form is src/sim's cycle-level accelerator.
 #pragma once
 
+#include <span>
+
 #include "attention/attention_config.hpp"
 #include "attention/flash_attention2.hpp"
 #include "core/checker.hpp"
@@ -61,11 +63,31 @@ struct CheckedAttention {
   [[nodiscard]] double residual() const;
 };
 
+/// One run of K/V rows the kernel walks: `rows` rows, the first at `k`/`v`.
+/// The walk's stride and head offset (see flash_abft_chunks) say where each
+/// row's head slice lies, so one type covers a contiguous K/V matrix, its
+/// key_block tiles and the pages of the paged KV pool.
+struct KvChunk {
+  const double* k = nullptr;
+  const double* v = nullptr;
+  std::size_t rows = 0;
+};
+
 /// Runs FlashAttention-2 with the fused online checksum (paper Alg. 3).
-/// Q: n_q x d, K/V: n_k x d.
+/// Q: n_q x d, K/V: n_k x d. The chunk kernel over one chunk.
 [[nodiscard]] CheckedAttention flash_abft_attention(
     const MatrixD& q, const MatrixD& k, const MatrixD& v,
     const AttentionConfig& cfg, const FlashAbftOptions& options = {});
+
+/// The one Flash-ABFT kernel: Alg. 3 with K/V given as chunks walked in
+/// order. Row r of a chunk has its K head slice at `k + r * stride + offset`
+/// (V likewise), q.cols() wide; key positions (for the mask) count across
+/// chunks. Outputs and checksums do not depend on how the rows are cut into
+/// chunks: every split is bit-identical to the single-chunk run.
+[[nodiscard]] CheckedAttention flash_abft_chunks(
+    const MatrixD& q, std::span<const KvChunk> chunks, std::size_t stride,
+    std::size_t offset, const AttentionConfig& cfg,
+    const FlashAbftOptions& options = {});
 
 /// Convenience wrapper: run + compare in one call.
 [[nodiscard]] CheckVerdict flash_abft_verify(const MatrixD& q,

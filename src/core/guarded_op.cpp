@@ -193,7 +193,6 @@ GuardedOp GuardedExecutor::run(OpKind kind, std::size_t index, double cost,
       hooks.profiler->record(kind, obs::GuardPhase::kVerify,
                              std::uint64_t(t2 - t1));
     }
-    if (observer_) observer_(kind, index, attempt, verdict);
     if (verdict == CheckVerdict::kPass) {
       if (attempt > 0 && hooks.flight != nullptr) {
         hooks.flight->record(obs::FlightEventKind::kRecovery, "executor",
@@ -303,7 +302,6 @@ WorklistResult GuardedExecutor::run_worklist(OpKind kind, std::size_t count,
       ++executions[index];
       ++out.executions;
       const CheckVerdict verdict = judge(kind, op);
-      if (observer_) observer_(kind, index, attempt, verdict);
       if (verdict == CheckVerdict::kAlarm) {
         ++alarms[index];
         ++out.alarm_events;

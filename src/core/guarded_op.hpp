@@ -9,9 +9,9 @@
 // fallback — therefore executes through one `GuardedExecutor` and reports
 // through one `OpReport`. The executor owns the checksum `Checker`, the
 // `RecoveryPolicy` (retry-then-escalate), an optional extreme-value screen
-// (NaN/Inf — the comparator's documented Silent-NaN blind spot), an observer
-// hook for online telemetry, and a tamper hook tests and demos use to model
-// faults on engines that have no bit-level injector.
+// (NaN/Inf — the comparator's documented Silent-NaN blind spot) and a
+// tamper hook tests and demos use to model faults on engines that have no
+// bit-level injector.
 #pragma once
 
 #include <cstddef>
@@ -182,10 +182,6 @@ class GuardedExecutor {
   using RunRound = std::function<std::vector<CheckedOp>(
       std::size_t attempt, const std::vector<std::size_t>& indices)>;
   using FallbackOne = std::function<CheckedOp(std::size_t index)>;
-  /// Online verdict stream (the serving telemetry hook).
-  using Observer = std::function<void(OpKind kind, std::size_t index,
-                                      std::size_t attempt,
-                                      CheckVerdict verdict)>;
   /// Fault-emulation hook: mutates a produced CheckedOp before checking.
   /// Applied to guarded attempts only — never to fallback executions (the
   /// fallback models a healthy replacement engine).
@@ -218,7 +214,6 @@ class GuardedExecutor {
     return kernel_context().with_backend(ComputeBackend::kScalar);
   }
 
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
   void set_tamper(Tamper tamper) { tamper_ = std::move(tamper); }
 
   /// Fault hook on the executor's own *detector state*: rebuilds the
@@ -283,7 +278,6 @@ class GuardedExecutor {
   Options options_;
   Checker checker_;
   Tolerances tolerances_;
-  Observer observer_;
   Tamper tamper_;
 };
 

@@ -1,14 +1,10 @@
 #include "core/kv_pool.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <utility>
 
 #include "common/ensure.hpp"
-#include "numerics/exp_unit.hpp"
-#include "tensor/backend.hpp"
 
 namespace flashabft {
 
@@ -661,11 +657,11 @@ void KvPagePool::restore(PagedKv& kv, std::size_t layer) {
   }
 }
 
-std::vector<KvPagePool::Chunk> KvPagePool::chunks(const PagedKv& kv,
-                                                  std::size_t layer) const {
+std::vector<KvChunk> KvPagePool::chunks(const PagedKv& kv,
+                                        std::size_t layer) const {
   FLASHABFT_ENSURE(layer < kv.layers_.size());
   const PagedKv::LayerTable& table = kv.layers_[layer];
-  std::vector<Chunk> out;
+  std::vector<KvChunk> out;
   out.reserve(table.entries.size());
   std::size_t remaining = table.len;
   for (const std::size_t id : table.entries) {
@@ -688,34 +684,6 @@ std::pair<std::size_t, std::size_t> KvPagePool::locate(
   const std::size_t slot = row / cfg_.page_size;
   FLASHABFT_ENSURE(slot < table.entries.size());
   return {table.entries[slot], row % cfg_.page_size};
-}
-
-MatrixD KvPagePool::gather_k_head(const PagedKv& kv, std::size_t layer,
-                                  std::size_t head,
-                                  std::size_t head_dim) const {
-  FLASHABFT_ENSURE((head + 1) * head_dim <= cfg_.width);
-  MatrixD out(kv.len(layer), head_dim);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    const auto [id, pr] = locate(kv, layer, r);
-    for (std::size_t c = 0; c < head_dim; ++c) {
-      out(r, c) = pages_[id].k(pr, head * head_dim + c);
-    }
-  }
-  return out;
-}
-
-MatrixD KvPagePool::gather_v_head(const PagedKv& kv, std::size_t layer,
-                                  std::size_t head,
-                                  std::size_t head_dim) const {
-  FLASHABFT_ENSURE((head + 1) * head_dim <= cfg_.width);
-  MatrixD out(kv.len(layer), head_dim);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    const auto [id, pr] = locate(kv, layer, r);
-    for (std::size_t c = 0; c < head_dim; ++c) {
-      out(r, c) = pages_[id].v(pr, head * head_dim + c);
-    }
-  }
-  return out;
 }
 
 double KvPagePool::k_at(const PagedKv& kv, std::size_t layer, std::size_t row,
@@ -789,126 +757,27 @@ bool guarded_page_verify(KvPagePool& pool, PagedKv& kv, std::size_t layer,
   return clean;
 }
 
-namespace {
-
-/// The scalar recurrence, operation-for-operation the same as
-/// flash_abft_attention's scalar loop over the gathered head (ExpMode
-/// kExact, no ell replication) — bit-identical outputs by construction.
-CheckedOp paged_head_scalar(std::span<const double> q_row,
-                            const std::vector<KvPagePool::Chunk>& chunks,
-                            std::size_t width, std::size_t head,
-                            std::size_t head_dim, double scale,
-                            DType dtype) {
-  const std::size_t offset = head * head_dim;
-  double m = -std::numeric_limits<double>::infinity();
-  double ell = 0.0;
-  double c = 0.0;
-  std::vector<double> o(head_dim, 0.0);
-  for (const KvPagePool::Chunk& chunk : chunks) {
-    for (std::size_t r = 0; r < chunk.rows; ++r) {
-      const double* kp = chunk.k + r * width + offset;
-      const double* vp = chunk.v + r * width + offset;
-      double s = 0.0;
-      for (std::size_t x = 0; x < head_dim; ++x) s += q_row[x] * kp[x];
-      s *= scale;
-      const double m_new = std::max(m, s);
-      const double correction =
-          std::isinf(m) ? 0.0 : eval_exp(m - m_new, ExpMode::kExact);
-      const double weight = eval_exp(s - m_new, ExpMode::kExact);
-      ell = ell * correction + weight;
-      for (std::size_t x = 0; x < head_dim; ++x) {
-        o[x] = o[x] * correction + weight * vp[x];
-      }
-      double row_v = 0.0;
-      for (std::size_t x = 0; x < head_dim; ++x) row_v += vp[x];
-      c = c * correction + weight * row_v;
-      m = m_new;
-    }
-  }
-  CheckedOp op;
-  op.output = MatrixD(1, head_dim);
-  double row_actual = 0.0;
-  for (std::size_t x = 0; x < head_dim; ++x) {
-    op.output(0, x) = o[x] / ell;
-    row_actual += op.output(0, x);
-  }
-  if (dtype != DType::kF32) {
-    // Storage write-back: the served row is the rounded one and the actual
-    // lane sums what was stored (kF32 keeps the fused reduction identical).
-    dtype_round_span(op.output.row(0), dtype);
-    row_actual = 0.0;
-    for (std::size_t x = 0; x < head_dim; ++x) row_actual += op.output(0, x);
-  }
-  op.check = {c / ell, row_actual};
-  return op;
-}
-
-/// The vectorized recurrence, mirroring flash_abft_attention_simd (simd::
-/// primitives, exp(0) bypass, reciprocal finalize) over the strided pages.
-CheckedOp paged_head_simd(std::span<const double> q_row,
-                          const std::vector<KvPagePool::Chunk>& chunks,
-                          std::size_t width, std::size_t head,
-                          std::size_t head_dim, double scale, DType dtype) {
-  const std::size_t offset = head * head_dim;
-  const double exp_zero = eval_exp(0.0, ExpMode::kExact);
-  double m = -std::numeric_limits<double>::infinity();
-  double ell = 0.0;
-  double c = 0.0;
-  std::vector<double> o(head_dim, 0.0);
-  for (const KvPagePool::Chunk& chunk : chunks) {
-    for (std::size_t r = 0; r < chunk.rows; ++r) {
-      const double* kp = chunk.k + r * width + offset;
-      const double* vp = chunk.v + r * width + offset;
-      const double s = simd::dot(q_row.data(), kp, head_dim) * scale;
-      const double m_new = std::max(m, s);
-      const double correction =
-          std::isinf(m) ? 0.0
-          : m - m_new == 0.0 ? exp_zero
-                             : eval_exp(m - m_new, ExpMode::kExact);
-      const double weight = eval_exp(s - m_new, ExpMode::kExact);
-      ell = ell * correction + weight;
-      if (correction == 1.0) {
-        simd::axpy(o.data(), weight, vp, head_dim);
-      } else {
-        simd::scale_accumulate(o.data(), correction, weight, vp, head_dim);
-      }
-      // Row sum of the value head slice, accumulated in column order like
-      // value_row_sums (keeps the checksum lane bit-stable across layouts).
-      double row_v = 0.0;
-      for (std::size_t x = 0; x < head_dim; ++x) row_v += vp[x];
-      c = c * correction + weight * row_v;
-      m = m_new;
-    }
-  }
-  CheckedOp op;
-  op.output = MatrixD(1, head_dim);
-  double row_actual =
-      simd::scale_to(op.output.row(0).data(), o.data(), 1.0 / ell, head_dim);
-  if (dtype != DType::kF32) {
-    dtype_round_span(op.output.row(0), dtype);
-    row_actual = simd::sum(op.output.row(0).data(), head_dim);
-  }
-  op.check = {c / ell, row_actual};
-  return op;
-}
-
-}  // namespace
-
-CheckedOp paged_flash_abft_head(std::span<const double> q_row,
-                                const std::vector<KvPagePool::Chunk>& chunks,
+CheckedOp paged_flash_abft_head(const MatrixD& q,
+                                std::span<const KvChunk> chunks,
                                 std::size_t width, std::size_t head,
-                                std::size_t head_dim, double scale,
-                                const KernelContext& context) {
-  FLASHABFT_ENSURE_MSG(q_row.size() == head_dim,
-                       "query of " << q_row.size() << " lanes for head_dim "
-                                   << head_dim);
-  FLASHABFT_ENSURE((head + 1) * head_dim <= width);
+                                double scale, const KernelContext& context) {
+  FLASHABFT_ENSURE_MSG(q.rows() == 1, "paged decode attends one query, not "
+                                          << q.rows());
+  FLASHABFT_ENSURE((head + 1) * q.cols() <= width);
   FLASHABFT_ENSURE_MSG(!chunks.empty(), "paged attention over an empty cache");
-  return context.backend == ComputeBackend::kSimd
-             ? paged_head_simd(q_row, chunks, width, head, head_dim, scale,
-                               context.dtype)
-             : paged_head_scalar(q_row, chunks, width, head, head_dim, scale,
-                                 context.dtype);
+  AttentionConfig cfg;
+  cfg.head_dim = q.cols();
+  cfg.scale = scale;
+  cfg.seq_len = 0;
+  for (const KvChunk& chunk : chunks) cfg.seq_len += chunk.rows;
+  FlashAbftOptions options;
+  options.context = context;
+  CheckedAttention run =
+      flash_abft_chunks(q, chunks, width, head * q.cols(), cfg, options);
+  CheckedOp op;
+  op.output = std::move(run.output);
+  op.check = {run.per_query_predicted[0], run.per_query_actual[0]};
+  return op;
 }
 
 }  // namespace flashabft

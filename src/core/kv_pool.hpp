@@ -49,6 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/flash_abft.hpp"
 #include "core/guarded_op.hpp"
 #include "tensor/matrix.hpp"
 
@@ -253,27 +254,12 @@ class KvPagePool {
   }
 
   // --- reads ---
-  /// One contiguous page span of a layer's cache, in logical row order.
-  /// `k`/`v` point at the page's first used row; rows are `width` apart.
-  struct Chunk {
-    const double* k = nullptr;
-    const double* v = nullptr;
-    std::size_t rows = 0;
-  };
-  /// The layer's pages as raw spans — the strided walk the paged attention
-  /// kernel consumes. Entries that fail the ownership check are skipped
-  /// (verification must run — and restore — before attending).
-  [[nodiscard]] std::vector<Chunk> chunks(const PagedKv& kv,
-                                          std::size_t layer) const;
-
-  /// Materializes head `head`'s cached K/V (len x head_dim) — the gather
-  /// the scalar reference fallback runs on.
-  [[nodiscard]] MatrixD gather_k_head(const PagedKv& kv, std::size_t layer,
-                                      std::size_t head,
-                                      std::size_t head_dim) const;
-  [[nodiscard]] MatrixD gather_v_head(const PagedKv& kv, std::size_t layer,
-                                      std::size_t head,
-                                      std::size_t head_dim) const;
+  /// The layer's pages as K/V chunks in logical row order, rows `width`
+  /// apart — the walk the paged attention kernel consumes. Entries that
+  /// fail the ownership check are skipped (verification must run — and
+  /// restore — before attending).
+  [[nodiscard]] std::vector<KvChunk> chunks(const PagedKv& kv,
+                                            std::size_t layer) const;
 
   [[nodiscard]] double k_at(const PagedKv& kv, std::size_t layer,
                             std::size_t row, std::size_t col) const;
@@ -389,21 +375,14 @@ bool guarded_page_verify(KvPagePool& pool, PagedKv& kv, std::size_t layer,
                          std::size_t index, const GuardedExecutor& executor,
                          LayerReport& report);
 
-/// Single-query Flash-ABFT (paper Alg. 3) over the paged K/V of one head:
-/// walks the page chunks directly with `width`-strided raw-pointer rows —
-/// no gather — evaluating the same recurrence (and producing the same
-/// fused checksum pair) as `flash_abft_attention` over the equivalent
-/// contiguous K/V. `q_row` is the head's query (head_dim wide);
-/// context.backend == kSimd uses the vectorized primitives and the exp(0)
-/// bypass exactly like the contiguous SIMD kernel, so outputs are
-/// bit-identical per backend. context.dtype rounds the finalized output row
-/// at write-back with the actual checksum reduced over the rounded values —
-/// the same storage contract as flash_abft_attention. Replaces the former
-/// trailing `ComputeBackend backend` parameter — see the DESIGN.md §12
-/// migration table.
+/// Single-query Flash-ABFT over the paged K/V of one head: the chunk kernel
+/// (`flash_abft_chunks`) walking the pool's pages with `width`-strided rows
+/// at the head's column offset — no gather. `q` is the head's query (1 x
+/// head_dim); the pair is that query's (predicted, actual) checksums. Same
+/// kernel, same bits as `flash_abft_attention` over the equivalent
+/// contiguous K/V, per backend and dtype of `context`.
 [[nodiscard]] CheckedOp paged_flash_abft_head(
-    std::span<const double> q_row, const std::vector<KvPagePool::Chunk>& chunks,
-    std::size_t width, std::size_t head, std::size_t head_dim, double scale,
-    const KernelContext& context = {});
+    const MatrixD& q, std::span<const KvChunk> chunks, std::size_t width,
+    std::size_t head, double scale, const KernelContext& context = {});
 
 }  // namespace flashabft

@@ -259,29 +259,22 @@ MatrixD MultiHeadAttention::forward_decode_paged_batch(
   const double scale = 1.0 / std::sqrt(double(head_dim_));
   MatrixD concat(batch, num_heads_ * head_dim_);
   for (std::size_t s = 0; s < batch; ++s) {
-    const std::vector<KvPagePool::Chunk> pages = pool.chunks(*kvs[s], layer);
+    const std::vector<KvChunk> pages = pool.chunks(*kvs[s], layer);
     const double cost = 2.0 * double(kvs[s]->len(layer)) * double(head_dim_);
     const KernelContext context = executors[s]->kernel_context();
     for (std::size_t h = 0; h < num_heads_; ++h) {
       const MatrixD q = head_slice(q_all[s], h, head_dim_);
-      const auto gather_fallback = [&] {
-        AttentionConfig cfg;
-        cfg.seq_len = kvs[s]->len(layer);
-        cfg.head_dim = head_dim_;
-        cfg.scale = scale;
-        cfg.mask = AttentionMask::kNone;
-        return checked_flash_abft(
-            q, pool.gather_k_head(*kvs[s], layer, h, head_dim_),
-            pool.gather_v_head(*kvs[s], layer, h, head_dim_), cfg,
-            executors[s]->fallback_context());
-      };
+      // An escalated head re-runs the same page walk on the scalar
+      // fallback engine.
       GuardedOp op = executors[s]->run(
           OpKind::kAttentionFlashAbft, head_base + h, cost,
           [&](std::size_t) {
-            return paged_flash_abft_head(q.row(0), pages, width, h,
-                                         head_dim_, scale, context);
+            return paged_flash_abft_head(q, pages, width, h, scale, context);
           },
-          gather_fallback);
+          [&] {
+            return paged_flash_abft_head(q, pages, width, h, scale,
+                                         executors[s]->fallback_context());
+          });
       for (std::size_t d = 0; d < head_dim_; ++d) {
         concat(s, h * head_dim_ + d) = op.output(0, d);
       }

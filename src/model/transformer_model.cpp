@@ -293,38 +293,6 @@ void TransformerModel::lm_head_rows(const MatrixD& h, std::size_t first,
   }
 }
 
-std::vector<double> TransformerModel::lm_head(
-    const MatrixD& h, const GuardedExecutor& executor,
-    LayerReport& report) const {
-  // Tied head over the last position only: logits = h_last · E^T, checked
-  // by the classic product identity. rowsum(E^T) is colsum(E), so
-  // predicted = dot(h_last, colsum(E)) — O(dim·vocab) compute, O(dim)
-  // checksum prediction.
-  const std::size_t last = h.rows() - 1;
-  const auto run = [&](const KernelContext& context) {
-    CheckedOp op;
-    op.output = MatrixD(1, cfg_.vocab_size);
-    lm_head_rows(h, last, context.backend, op.output);
-    // Storage write-back: logits are stored in context.dtype and the
-    // actual checksum sums the stored values (predicted stays wide).
-    dtype_round_span(op.output.row(0), context.dtype);
-    for (std::size_t j = 0; j < cfg_.model_dim; ++j) {
-      op.check.predicted += h(last, j) * lm_colsum_[j];
-    }
-    op.check.actual = element_sum(op.output);
-    return op;
-  };
-  GuardedOp op = executor.run(
-      OpKind::kProjection, lm_head_index(),
-      double(cfg_.model_dim) * double(cfg_.vocab_size),
-      [&](std::size_t) { return run(executor.kernel_context()); },
-      [&] { return run(executor.fallback_context()); });
-  std::vector<double> logits(op.output.row(0).begin(),
-                             op.output.row(0).end());
-  report.add(std::move(op));
-  return logits;
-}
-
 StepResult TransformerModel::prefill_paged(
     const std::vector<std::size_t>& tokens, AttentionBackend backend,
     const GuardedExecutor& executor, KvPagePool& pool, PagedKv& kv) const {
@@ -351,7 +319,13 @@ StepResult TransformerModel::prefill_paged(
       executor, /*index=*/layers_.size(),
       double(x.rows()) * double(cfg_.model_dim),
       [&] { return final_norm_.forward(x); }, result.report.final_ops);
-  result.logits = lm_head(h, executor, result.report.final_ops);
+  // The LM head reads the last position only: a decode batch of one row.
+  MatrixD h_last(1, cfg_.model_dim);
+  const double* last = h.row(h.rows() - 1).data();
+  std::copy(last, last + cfg_.model_dim, h_last.row(0).data());
+  const GuardedExecutor* const executors[1] = {&executor};
+  LayerReport* const reports[1] = {&result.report.final_ops};
+  result.logits = std::move(lm_head_batch(h_last, executors, reports).front());
   result.next_token = argmax(result.logits);
   return result;
 }
@@ -405,15 +379,14 @@ std::vector<std::vector<double>> TransformerModel::lm_head_batch(
   const KernelContext context = executors.front()->kernel_context();
 
   // One stacked logits product; the tied table (and colsum(E)) stream once
-  // per batch. Readout shared with the per-session lm_head, followed by the
-  // same storage write-back rounding.
+  // per batch, followed by the storage write-back rounding.
   MatrixD y(batch, cfg_.vocab_size);
   lm_head_rows(h_stacked, 0, context.backend, y);
   dtype_round_span(y.flat(), context.dtype);
   const std::vector<double>& col_e = lm_colsum_;
 
   // Per-session recomputation engine for retries/fallback: the same
-  // single-row run the non-batched lm_head uses.
+  // readout over the session's row alone.
   const auto run_one = [&](std::size_t s, const KernelContext& engine) {
     CheckedOp op;
     op.output = MatrixD(1, cfg_.vocab_size);

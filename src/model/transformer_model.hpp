@@ -230,15 +230,10 @@ class TransformerModel {
   [[nodiscard]] double weight_part_cost(std::size_t part) const;
 
  private:
-  /// Final LayerNorm + tied LM head over the last row of `h`; the logits
-  /// product is guarded by the matmul-ABFT identity
-  /// predicted = dot(colsum(h_last), colsum(E)).
-  [[nodiscard]] std::vector<double> lm_head(const MatrixD& h,
-                                            const GuardedExecutor& executor,
-                                            LayerReport& report) const;
-
-  /// Batched tied LM head: one h_stacked · E^T product (colsum(E) computed
-  /// once) with one checksum group — and one OpReport — per row/session.
+  /// Tied LM head over every row of `h_stacked` (one row per session):
+  /// one h_stacked · E^T product with one checksum group — and one
+  /// OpReport — per row, guarded by the matmul-ABFT identity
+  /// predicted = dot(h_row, colsum(E)). Prefill runs it over its last row.
   [[nodiscard]] std::vector<std::vector<double>> lm_head_batch(
       const MatrixD& h_stacked,
       std::span<const GuardedExecutor* const> executors,
@@ -247,9 +242,9 @@ class TransformerModel {
   /// Tied-head logits for rows [first, first + out.rows()) of `h`:
   /// out(r, v) = dot(h[first + r], E[v]) on `engine`. Table-row-outer, so
   /// each E row streams once per call and meets every h row in cache. The
-  /// single readout every LM-head path (per-session, batched clean path,
-  /// retry/fallback recompute) shares, which is what keeps them
-  /// bit-identical: each logit is the same dot however many rows ride along.
+  /// single readout of the LM head's clean path and its retry/fallback
+  /// recompute, which is what keeps them bit-identical: each logit is the
+  /// same dot however many rows ride along.
   void lm_head_rows(const MatrixD& h, std::size_t first,
                     ComputeBackend engine, MatrixD& out) const;
 

@@ -46,14 +46,4 @@ float hardware_exp(float x) {
   return float(std::ldexp(pow2f, int(k)));
 }
 
-double eval_exp(double x, ExpMode mode) {
-  switch (mode) {
-    case ExpMode::kExact:
-      return std::exp(x);
-    case ExpMode::kHardware:
-      return double(hardware_exp(float(x)));
-  }
-  return std::exp(x);  // unreachable; keeps GCC's -Wreturn-type quiet
-}
-
 }  // namespace flashabft

@@ -9,6 +9,8 @@
 // reference runs.
 #pragma once
 
+#include <cmath>
+
 namespace flashabft {
 
 /// Fidelity of the exponential evaluation.
@@ -17,14 +19,18 @@ enum class ExpMode {
   kHardware,    ///< range-reduced degree-5 polynomial in fp32 — datapath model.
 };
 
+/// The hardware polynomial path in isolation (fp32 in/out).
+[[nodiscard]] float hardware_exp(float x);
+
 /// Evaluates e^x under the given mode. Inputs are expected to be <= 0 in the
 /// attention recurrences (max-subtracted); positive inputs still evaluate
 /// correctly for robustness under injected faults (a corrupted m register can
 /// make s - m positive, and the unit must then saturate/overflow the way
-/// fp32 hardware would).
-[[nodiscard]] double eval_exp(double x, ExpMode mode);
-
-/// The hardware polynomial path in isolation (fp32 in/out).
-[[nodiscard]] float hardware_exp(float x);
+/// fp32 hardware would). Inline: the attention kernels call it once or twice
+/// per key.
+[[nodiscard]] inline double eval_exp(double x, ExpMode mode) {
+  return mode == ExpMode::kHardware ? double(hardware_exp(float(x)))
+                                    : std::exp(x);
+}
 
 }  // namespace flashabft

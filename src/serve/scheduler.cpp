@@ -357,14 +357,10 @@ bool ContinuousScheduler::preempt_for(std::size_t needed,
     GenerationSession* victim = nullptr;
     for (GenerationSession* candidate : running_) {
       // Victims are strictly younger than the requester: the oldest
-      // session can never be preempted, so it always finishes.
+      // session can never be preempted, so it always finishes. The newest
+      // goes first, which wastes the least prefill work.
       if (candidate->sched_order <= requester_order) continue;
-      if (victim == nullptr) {
-        victim = candidate;
-        continue;
-      }
-      const bool newer = candidate->sched_order > victim->sched_order;
-      if (cfg_.preemption == PreemptionPolicy::kNewestFirst ? newer : !newer) {
+      if (victim == nullptr || candidate->sched_order > victim->sched_order) {
         victim = candidate;
       }
     }

@@ -10,10 +10,10 @@
 // Admission flows through the server's `SessionTable` (bounded active set +
 // age-ordered parking FIFO with the starvation guard); page pressure is
 // handled by *preemption*: when the pool cannot back a session's next
-// append (or a waiting session's prefill), a strictly-younger running
-// session is parked — its pages released, its generated tokens kept — and
-// later *resumed losslessly* by re-prefilling prompt + generated tokens
-// (greedy decode is deterministic, so the rebuilt cache continues
+// append (or a waiting session's prefill), the newest strictly-younger
+// running session is parked — its pages released, its generated tokens
+// kept — and later *resumed losslessly* by re-prefilling prompt + generated
+// tokens (greedy decode is deterministic, so the rebuilt cache continues
 // token-for-token; the drill tests pin this). The oldest session is never
 // preempted and the pool always fits one full-length session, so progress
 // is guaranteed.
@@ -55,14 +55,6 @@ enum class SchedulerMode {
   kContinuous,  ///< paged pool + continuous-batching scheduler thread.
 };
 
-/// Which running session loses its pages under page pressure. Victims are
-/// always strictly younger (by admission order) than the session being
-/// scheduled, so the oldest session always makes progress.
-enum class PreemptionPolicy {
-  kNewestFirst,  ///< LIFO victims: minimal wasted prefix work (default).
-  kOldestFirst,  ///< oldest eligible victim first (stress-tests resume).
-};
-
 struct SchedulerConfig {
   /// Has a single value; kept only so callers that name the engine
   /// explicitly (`mode = SchedulerMode::kContinuous`) still compile.
@@ -82,7 +74,6 @@ struct SchedulerConfig {
   /// constant while sweeping --dtype — half-width storage doubles the
   /// pages (and so the resident sessions) the same byte budget backs.
   std::size_t kv_budget_bytes = 0;
-  PreemptionPolicy preemption = PreemptionPolicy::kNewestFirst;
   /// Shared-prefix KV caching: prefill pages are registered in the pool's
   /// refcounted read-only index and later sessions with a matching prompt
   /// prefix map them instead of recomputing (copy-on-write on first
@@ -181,8 +172,9 @@ class ContinuousScheduler {
   void start_or_resume(GenerationSession& session);
   /// Advances up to max_batch_tokens running sessions one token.
   void decode_tick();
-  /// Frees pages until `needed` are available using victims strictly
-  /// younger than `requester_order`; false if no eligible victim remains.
+  /// Frees pages until `needed` are available, preempting the newest
+  /// session strictly younger than `requester_order` first; false if no
+  /// eligible victim remains.
   bool preempt_for(std::size_t needed, std::uint64_t requester_order);
   void preempt(GenerationSession* victim);
   /// Applies the session's KvCorruptions scheduled for `step_index` to its

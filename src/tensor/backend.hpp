@@ -153,6 +153,26 @@ namespace simd {
   return acc;
 }
 
+/// dot(a, b_j, n) of four rows b_j at once, into out[0..3]: the same
+/// per-row reduction as dot() (the parity suite pins the bits), with four
+/// independent accumulator chains in flight instead of one.
+inline void dot4(const double* a, const double* b0, const double* b1,
+                 const double* b2, const double* b3, std::size_t n,
+                 double* out) {
+  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+  FLASHABFT_PRAGMA(omp simd reduction(+ : acc0, acc1, acc2, acc3))
+  for (std::size_t i = 0; i < n; ++i) {
+    acc0 += a[i] * b0[i];
+    acc1 += a[i] * b1[i];
+    acc2 += a[i] * b2[i];
+    acc3 += a[i] * b3[i];
+  }
+  out[0] = acc0;
+  out[1] = acc1;
+  out[2] = acc2;
+  out[3] = acc3;
+}
+
 /// o = o * scale + weight * v — the flash-attention accumulator update.
 inline void scale_accumulate(double* o, double scale, double weight,
                              const double* v, std::size_t n) {

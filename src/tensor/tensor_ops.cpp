@@ -98,18 +98,21 @@ std::vector<double> column_sums(const MatrixD& a) {
 }
 
 std::vector<double> row_sums(const MatrixD& a) {
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  std::vector<double> sums(rows, 0.0);
-  const double* data = a.flat().data();
+  std::vector<double> sums(a.rows(), 0.0);
+  row_sums(a.flat().data(), a.rows(), a.cols(), a.cols(), sums.data());
+  return sums;
+}
+
+void row_sums(const double* data, std::size_t rows, std::size_t cols,
+              std::size_t stride, double* out) {
   // Four rows per sweep: their independent accumulator chains overlap
   // instead of each row waiting out the add latency alone.
   std::size_t i = 0;
   for (; i + 4 <= rows; i += 4) {
-    const double* r0 = data + i * cols;
-    const double* r1 = r0 + cols;
-    const double* r2 = r1 + cols;
-    const double* r3 = r2 + cols;
+    const double* r0 = data + i * stride;
+    const double* r1 = r0 + stride;
+    const double* r2 = r1 + stride;
+    const double* r3 = r2 + stride;
     double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
     for (std::size_t j = 0; j < cols; ++j) {
       a0 += r0[j];
@@ -117,18 +120,17 @@ std::vector<double> row_sums(const MatrixD& a) {
       a2 += r2[j];
       a3 += r3[j];
     }
-    sums[i] = a0;
-    sums[i + 1] = a1;
-    sums[i + 2] = a2;
-    sums[i + 3] = a3;
+    out[i] = a0;
+    out[i + 1] = a1;
+    out[i + 2] = a2;
+    out[i + 3] = a3;
   }
   for (; i < rows; ++i) {
-    const double* row = data + i * cols;
+    const double* row = data + i * stride;
     double acc = 0.0;
     for (std::size_t j = 0; j < cols; ++j) acc += row[j];
-    sums[i] = acc;
+    out[i] = acc;
   }
-  return sums;
 }
 
 double max_abs_diff(const MatrixD& a, const MatrixD& b) {

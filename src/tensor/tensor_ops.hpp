@@ -36,6 +36,11 @@ namespace flashabft {
 /// Per-row sums — the "sumrow" checksum vector of classic ABFT (Eq. 4).
 [[nodiscard]] std::vector<double> row_sums(const MatrixD& a);
 
+/// row_sums over `rows` rows of `cols` doubles starting `stride` apart at
+/// `data`, written to `out[0, rows)`: each row summed in column order.
+void row_sums(const double* data, std::size_t rows, std::size_t cols,
+              std::size_t stride, double* out);
+
 /// Largest absolute element-wise difference.
 [[nodiscard]] double max_abs_diff(const MatrixD& a, const MatrixD& b);
 

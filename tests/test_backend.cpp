@@ -5,6 +5,7 @@
 // behave identically on both backends (alarm parity).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/blocked_flash_attention.hpp"
 #include "core/flash_abft.hpp"
 #include "core/guarded_op.hpp"
 #include "core/matmul_abft.hpp"
@@ -156,6 +156,25 @@ TEST(Backend, LinearFusedCoversBias) {
   }
 }
 
+TEST(Backend, Dot4IsFourDotsBitwise) {
+  // The attention kernel's score sweep relies on it: every output of dot4
+  // carries dot()'s bits, odd and tile-straddling lengths included.
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 15u, 16u, 17u, 63u, 64u,
+                              65u, 129u}) {
+    const MatrixD a = random_matrix(1, n, 100 + n);
+    const MatrixD b = random_matrix(4, n, 200 + n);
+    double out[4];
+    simd::dot4(a.row(0).data(), b.row(0).data(), b.row(1).data(),
+               b.row(2).data(), b.row(3).data(), n, out);
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]),
+                std::bit_cast<std::uint64_t>(
+                    simd::dot(a.row(0).data(), b.row(j).data(), n)))
+          << "n " << n << " row " << j;
+    }
+  }
+}
+
 TEST(Backend, FlashAbftParityIncludingMasksAndRectangles) {
   struct Case {
     std::size_t n_q, n_k, d;
@@ -203,12 +222,23 @@ TEST(Backend, BlockedFlashParityAcrossBlockSizes) {
   cfg.head_dim = 16;
   cfg.scale = 0.25;
 
+  // SIMD over key_block-row tiles: bit-equal to the SIMD single-span run,
+  // within rounding of the scalar one.
   const CheckedAttention golden = flash_abft_attention(q, k, v, cfg);
+  FlashAbftOptions options;
+  options.context.backend = ComputeBackend::kSimd;
+  const CheckedAttention whole = flash_abft_attention(q, k, v, cfg, options);
   for (const std::size_t block : {1u, 5u, 64u, 1000u}) {
-    FlashAbftOptions options;
-    options.context.backend = ComputeBackend::kSimd;
-    const CheckedAttention tiled = blocked_flash_abft_attention(
-        q, k, v, cfg, BlockConfig{block}, options);
+    std::vector<KvChunk> tiles;
+    for (std::size_t r = 0; r < k.rows(); r += block) {
+      tiles.push_back({k.row(r).data(), v.row(r).data(),
+                       std::min(block, k.rows() - r)});
+    }
+    const CheckedAttention tiled =
+        flash_abft_chunks(q, tiles, k.cols(), 0, cfg, options);
+    EXPECT_EQ(whole.output, tiled.output) << block;
+    EXPECT_EQ(whole.predicted_checksum, tiled.predicted_checksum) << block;
+    EXPECT_EQ(whole.actual_checksum, tiled.actual_checksum) << block;
     expect_matrix_near(golden.output, tiled.output, 29 * 16);
     expect_close(golden.predicted_checksum, tiled.predicted_checksum,
                  1e-10);
@@ -462,6 +492,47 @@ TEST_P(BitExactPerIsa, StackedDecodeLinearIsBitExactWithReference) {
           }
         }
       }
+    }
+  }
+}
+
+TEST_P(BitExactPerIsa, SimdFlashAbftIsBitExactWithBaselineCompile) {
+  // The attention kernel's output pass is a wide kernel: every compile must
+  // give the baseline compile's bits, across head widths that leave column
+  // tails at every vector width, both masks and a strided head slice.
+  for (const std::size_t d : {1u, 7u, 8u, 24u, 64u, 70u}) {
+    for (const AttentionMask mask :
+         {AttentionMask::kNone, AttentionMask::kCausal}) {
+      const MatrixD q = random_matrix(9, d, 300 + d);
+      const MatrixD k = random_matrix(9, 3 * d, 400 + d);
+      const MatrixD v = random_matrix(9, 3 * d, 500 + d);
+      AttentionConfig cfg;
+      cfg.seq_len = 9;
+      cfg.head_dim = d;
+      cfg.scale = 1.0 / std::sqrt(double(d));
+      cfg.mask = mask;
+      FlashAbftOptions options;
+      options.context.backend = ComputeBackend::kSimd;
+      const KvChunk rows[2] = {{k.row(0).data(), v.row(0).data(), 5},
+                               {k.row(5).data(), v.row(5).data(), 4}};
+      const auto run = [&] {
+        return flash_abft_chunks(q, rows, 3 * d, d, cfg, options);
+      };
+      const CheckedAttention got = run();
+      const WideIsa pinned = wide_isa();
+      pin_wide_isa(WideIsa::kBaseline);
+      const CheckedAttention want = run();
+      pin_wide_isa(pinned);
+      const std::string what = "d " + std::to_string(d) +
+                               (mask == AttentionMask::kCausal ? " causal"
+                                                               : "");
+      expect_bitwise_equal(got.output, want.output, what);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.predicted_checksum),
+                std::bit_cast<std::uint64_t>(want.predicted_checksum))
+          << what;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.actual_checksum),
+                std::bit_cast<std::uint64_t>(want.actual_checksum))
+          << what;
     }
   }
 }

@@ -1,11 +1,16 @@
-// Tests of the blocked (tiled) Flash-ABFT kernel: tiling invariance of both
-// the output and the checksums.
+// Tests of tiled Flash-ABFT: the chunk kernel with K/V cut into key_block-row
+// spans (FlashAttention-2's B_c tiles). The per-query state carries across
+// tiles exactly as across rows, so every tiling is bit-identical to the
+// single-span run on both backends and in every storage dtype.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "attention/reference_attention.hpp"
-#include "core/blocked_flash_attention.hpp"
+#include "core/flash_abft.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "workload/generator.hpp"
 
@@ -22,36 +27,73 @@ AttentionConfig make_cfg(std::size_t n, std::size_t d,
   return cfg;
 }
 
-class BlockSizeSweep : public ::testing::TestWithParam<std::size_t> {};
+FlashAbftOptions make_options(ComputeBackend backend, DType dtype) {
+  FlashAbftOptions options;
+  options.context.backend = backend;
+  options.context.dtype = dtype;
+  return options;
+}
+
+/// Alg. 3 over K/V cut into spans of `key_block` rows (the last shorter).
+CheckedAttention tiled(const AttentionInputs& w, const AttentionConfig& cfg,
+                       std::size_t key_block,
+                       const FlashAbftOptions& options = {}) {
+  std::vector<KvChunk> tiles;
+  for (std::size_t r = 0; r < w.k.rows(); r += key_block) {
+    tiles.push_back({w.k.row(r).data(), w.v.row(r).data(),
+                     std::min(key_block, w.k.rows() - r)});
+  }
+  return flash_abft_chunks(w.q, tiles, w.k.cols(), 0, cfg, options);
+}
+
+/// Output and global checksum pair bit-equal.
+void expect_same_run(const CheckedAttention& a, const CheckedAttention& b) {
+  EXPECT_EQ(a.output, b.output);
+  EXPECT_EQ(a.predicted_checksum, b.predicted_checksum);
+  EXPECT_EQ(a.actual_checksum, b.actual_checksum);
+}
+
+constexpr ComputeBackend kBackends[] = {ComputeBackend::kScalar,
+                                        ComputeBackend::kSimd};
+constexpr DType kDtypes[] = {DType::kF32, DType::kBf16};
+
+/// (tile rows, backend, storage dtype).
+class BlockSizeSweep
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, ComputeBackend, DType>> {};
 
 TEST_P(BlockSizeSweep, OutputInvariantToTiling) {
-  const std::size_t bc = GetParam();
+  const auto [bc, backend, dtype] = GetParam();
   Rng rng(1000 + bc);
   const std::size_t n = 96, d = 32;
   const AttentionInputs w = generate_gaussian(n, d, rng);
   const AttentionConfig cfg = make_cfg(n, d);
-  const CheckedAttention unblocked = flash_abft_attention(w.q, w.k, w.v, cfg);
-  const CheckedAttention blocked = blocked_flash_abft_attention(
-      w.q, w.k, w.v, cfg, BlockConfig{bc});
-  EXPECT_LT(max_abs_diff(unblocked.output, blocked.output), 1e-11) << bc;
-  EXPECT_NEAR(unblocked.predicted_checksum, blocked.predicted_checksum,
-              1e-9 * (1.0 + std::fabs(unblocked.predicted_checksum)))
-      << bc;
+  const FlashAbftOptions options = make_options(backend, dtype);
+  expect_same_run(flash_abft_attention(w.q, w.k, w.v, cfg, options),
+                  tiled(w, cfg, bc, options));
 }
 
-TEST_P(BlockSizeSweep, ChecksumIdentityHoldsPerTileSize) {
-  const std::size_t bc = GetParam();
+TEST_P(BlockSizeSweep, PerQueryChecksumsInvariantToTiling) {
+  const auto [bc, backend, dtype] = GetParam();
   Rng rng(2000 + bc);
   const std::size_t n = 80, d = 16;
   const AttentionInputs w = generate_gaussian(n, d, rng);
-  const CheckedAttention run = blocked_flash_abft_attention(
-      w.q, w.k, w.v, make_cfg(n, d), BlockConfig{bc});
-  EXPECT_LT(run.residual(), 1e-9 * (1.0 + std::fabs(run.actual_checksum)))
-      << bc;
+  const AttentionConfig cfg = make_cfg(n, d);
+  const FlashAbftOptions options = make_options(backend, dtype);
+  const CheckedAttention whole = flash_abft_attention(w.q, w.k, w.v, cfg,
+                                                      options);
+  const CheckedAttention run = tiled(w, cfg, bc, options);
+  EXPECT_EQ(run.per_query_predicted, whole.per_query_predicted);
+  EXPECT_EQ(run.per_query_actual, whole.per_query_actual);
+  EXPECT_EQ(run.stats.row_max, whole.stats.row_max);
+  EXPECT_EQ(run.stats.row_sum_exp, whole.stats.row_sum_exp);
 }
 
-INSTANTIATE_TEST_SUITE_P(TileSizes, BlockSizeSweep,
-                         ::testing::Values(1, 2, 7, 16, 32, 64, 128, 1024));
+INSTANTIATE_TEST_SUITE_P(
+    TileSizes, BlockSizeSweep,
+    ::testing::Combine(::testing::Values(1, 2, 7, 16, 32, 64, 128, 1024),
+                       ::testing::ValuesIn(kBackends),
+                       ::testing::ValuesIn(kDtypes)));
 
 TEST(BlockedFlashAbft, MatchesReference) {
   Rng rng(3);
@@ -59,9 +101,16 @@ TEST(BlockedFlashAbft, MatchesReference) {
   const AttentionInputs w = generate_gaussian(n, d, rng);
   const AttentionConfig cfg = make_cfg(n, d);
   const MatrixD ref = reference_attention(w.q, w.k, w.v, cfg);
-  const CheckedAttention run =
-      blocked_flash_abft_attention(w.q, w.k, w.v, cfg, BlockConfig{16});
-  EXPECT_LT(max_abs_diff(run.output, ref), 1e-11);
+  for (const ComputeBackend backend : kBackends) {
+    const CheckedAttention run =
+        tiled(w, cfg, 16, make_options(backend, DType::kF32));
+    EXPECT_LT(max_abs_diff(run.output, ref), 1e-11) << backend_name(backend);
+    for (const DType dtype : kDtypes) {
+      const FlashAbftOptions options = make_options(backend, dtype);
+      expect_same_run(flash_abft_attention(w.q, w.k, w.v, cfg, options),
+                      tiled(w, cfg, 16, options));
+    }
+  }
 }
 
 TEST(BlockedFlashAbft, CausalMaskAcrossTiles) {
@@ -70,10 +119,17 @@ TEST(BlockedFlashAbft, CausalMaskAcrossTiles) {
   const AttentionInputs w = generate_gaussian(n, d, rng);
   const AttentionConfig cfg = make_cfg(n, d, AttentionMask::kCausal);
   const MatrixD ref = reference_attention(w.q, w.k, w.v, cfg);
-  const CheckedAttention run =
-      blocked_flash_abft_attention(w.q, w.k, w.v, cfg, BlockConfig{13});
-  EXPECT_LT(max_abs_diff(run.output, ref), 1e-11);
-  EXPECT_LT(run.residual(), 1e-9);
+  for (const ComputeBackend backend : kBackends) {
+    const CheckedAttention run =
+        tiled(w, cfg, 13, make_options(backend, DType::kF32));
+    EXPECT_LT(max_abs_diff(run.output, ref), 1e-11) << backend_name(backend);
+    EXPECT_LT(run.residual(), 1e-9) << backend_name(backend);
+    for (const DType dtype : kDtypes) {
+      const FlashAbftOptions options = make_options(backend, dtype);
+      expect_same_run(flash_abft_attention(w.q, w.k, w.v, cfg, options),
+                      tiled(w, cfg, 13, options));
+    }
+  }
 }
 
 TEST(BlockedFlashAbft, TileLargerThanSequenceDegradesToUnblocked) {
@@ -81,28 +137,33 @@ TEST(BlockedFlashAbft, TileLargerThanSequenceDegradesToUnblocked) {
   const std::size_t n = 20, d = 8;
   const AttentionInputs w = generate_gaussian(n, d, rng);
   const AttentionConfig cfg = make_cfg(n, d);
-  const CheckedAttention a = flash_abft_attention(w.q, w.k, w.v, cfg);
-  const CheckedAttention b =
-      blocked_flash_abft_attention(w.q, w.k, w.v, cfg, BlockConfig{4096});
-  EXPECT_LT(max_abs_diff(a.output, b.output), 1e-12);
-}
-
-TEST(BlockedFlashAbft, ZeroBlockSizeRejected) {
-  Rng rng(9);
-  const AttentionInputs w = generate_gaussian(8, 4, rng);
-  EXPECT_THROW((void)blocked_flash_abft_attention(
-                   w.q, w.k, w.v, make_cfg(8, 4), BlockConfig{0}),
-               EnsureError);
+  for (const ComputeBackend backend : kBackends) {
+    for (const DType dtype : kDtypes) {
+      const FlashAbftOptions options = make_options(backend, dtype);
+      expect_same_run(flash_abft_attention(w.q, w.k, w.v, cfg, options),
+                      tiled(w, cfg, 4096, options));
+    }
+  }
 }
 
 TEST(BlockedFlashAbft, ReplicatedEllOptionWorks) {
   Rng rng(11);
   const AttentionInputs w = generate_gaussian(32, 16, rng);
-  FlashAbftOptions opts;
-  opts.replicate_ell = true;
-  const CheckedAttention run = blocked_flash_abft_attention(
-      w.q, w.k, w.v, make_cfg(32, 16), BlockConfig{8}, opts);
-  EXPECT_LT(run.residual(), 1e-9);
+  const AttentionConfig cfg = make_cfg(32, 16);
+  for (const ComputeBackend backend : kBackends) {
+    for (const DType dtype : kDtypes) {
+      FlashAbftOptions options = make_options(backend, dtype);
+      options.replicate_ell = true;
+      const CheckedAttention whole =
+          flash_abft_attention(w.q, w.k, w.v, cfg, options);
+      const CheckedAttention run = tiled(w, cfg, 8, options);
+      expect_same_run(whole, run);
+      EXPECT_EQ(run.per_query_predicted, whole.per_query_predicted);
+      if (dtype == DType::kF32) {
+        EXPECT_LT(run.residual(), 1e-9) << backend_name(backend);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests of the checksum-protected paged KV pool: page allocation and
-// append across page boundaries, gather/element read parity, page-content
+// append across page boundaries, chunk-walk/element read parity, page-content
 // and page-table checksum verification, selective checkpoint restoration,
 // the guarded kKvPage op (recovery and escalation), per-layer and
 // multi-session isolation, the strided paged Flash-ABFT kernel's parity
@@ -71,22 +71,13 @@ TEST(KvPool, AppendSpansPagesAndReadsBack) {
 
   // The chunk walk covers the same rows in order.
   std::size_t rows = 0;
-  for (const KvPagePool::Chunk& chunk : pool.chunks(kv, 0)) {
+  for (const KvChunk& chunk : pool.chunks(kv, 0)) {
     for (std::size_t r = 0; r < chunk.rows; ++r, ++rows) {
       EXPECT_EQ(chunk.k[r * pool.config().width + 2], k_value(rows, 2));
       EXPECT_EQ(chunk.v[r * pool.config().width + 3], v_value(rows, 3));
     }
   }
   EXPECT_EQ(rows, 10u);
-
-  // Head gathers agree with element reads.
-  const MatrixD k_head = pool.gather_k_head(kv, 0, /*head=*/1, /*head_dim=*/3);
-  ASSERT_EQ(k_head.rows(), 10u);
-  for (std::size_t r = 0; r < 10; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(k_head(r, c), k_value(r, 3 + c));
-    }
-  }
 }
 
 TEST(KvPool, PageAccountingHelpers) {
@@ -289,7 +280,7 @@ TEST(KvPool, PagedAttentionMatchesContiguousKernelBitwise) {
   for (std::size_t r = 0; r < 13; ++r) {
     pool.append(kv, 0, k_rows.row(r), v_rows.row(r));
   }
-  const std::vector<KvPagePool::Chunk> chunks = pool.chunks(kv, 0);
+  const std::vector<KvChunk> chunks = pool.chunks(kv, 0);
   const double scale = 1.0 / std::sqrt(8.0);
   AttentionConfig attn;
   attn.seq_len = 13;
@@ -297,23 +288,29 @@ TEST(KvPool, PagedAttentionMatchesContiguousKernelBitwise) {
   attn.scale = scale;
 
   for (std::size_t head = 0; head < 2; ++head) {
-    const MatrixD k = pool.gather_k_head(kv, 0, head, 8);
-    const MatrixD v = pool.gather_v_head(kv, 0, head, 8);
+    // The head's K/V as stored, read element by element into contiguous
+    // matrices.
+    MatrixD k(13, 8), v(13, 8);
+    for (std::size_t r = 0; r < 13; ++r) {
+      for (std::size_t x = 0; x < 8; ++x) {
+        k(r, x) = pool.k_at(kv, 0, r, head * 8 + x);
+        v(r, x) = pool.v_at(kv, 0, r, head * 8 + x);
+      }
+    }
     for (const ComputeBackend backend :
          {ComputeBackend::kScalar, ComputeBackend::kSimd}) {
-      FlashAbftOptions options;
-      options.context.backend = backend;
-      const CheckedAttention golden =
-          flash_abft_attention(q, k, v, attn, options);
-      const CheckedOp paged = paged_flash_abft_head(
-          q.row(0), chunks, cfg.width, head, 8, scale,
-          KernelContext{backend});
-      for (std::size_t x = 0; x < 8; ++x) {
-        EXPECT_EQ(paged.output(0, x), golden.output(0, x))
+      for (const DType dtype : {DType::kF32, DType::kBf16}) {
+        FlashAbftOptions options;
+        options.context = KernelContext{backend, dtype};
+        const CheckedAttention golden =
+            flash_abft_attention(q, k, v, attn, options);
+        const CheckedOp paged = paged_flash_abft_head(
+            q, chunks, cfg.width, head, scale, options.context);
+        EXPECT_EQ(paged.output, golden.output)
             << "head " << head << " backend " << backend_name(backend);
+        EXPECT_EQ(paged.check.predicted, golden.predicted_checksum);
+        EXPECT_EQ(paged.check.actual, golden.actual_checksum);
       }
-      EXPECT_EQ(paged.check.predicted, golden.predicted_checksum);
-      EXPECT_EQ(paged.check.actual, golden.actual_checksum);
     }
   }
 }

@@ -1,11 +1,12 @@
-// Tests of detection-triggered recovery (core/recovery.hpp).
+// Tests of detection-triggered recovery: the retry/escalation contract of
+// GuardedExecutor::run (core/guarded_op.hpp) on the attention kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <utility>
-#include <vector>
 
-#include "core/recovery.hpp"
+#include "core/flash_abft.hpp"
+#include "core/guarded_op.hpp"
 #include "workload/generator.hpp"
 
 namespace flashabft {
@@ -27,107 +28,98 @@ struct FlakyEngine {
   std::size_t faulty_runs;
   mutable std::size_t calls = 0;
 
-  CheckedAttention operator()(std::size_t) const {
+  CheckedOp operator()(std::size_t) const {
     CheckedAttention run = flash_abft_attention(w.q, w.k, w.v, cfg);
-    if (calls++ < faulty_runs) run.actual_checksum += 0.5;
-    return run;
+    CheckedOp op;
+    op.output = std::move(run.output);
+    op.check = {run.predicted_checksum, run.actual_checksum};
+    if (calls++ < faulty_runs) op.check.actual += 0.5;
+    return op;
   }
 };
+
+/// One guarded attention op with a 1e-6 checker and `max_retries` retries.
+OpReport guarded(const FlakyEngine& engine, std::size_t max_retries) {
+  const GuardedExecutor executor(CheckerConfig{1e-6},
+                                 RecoveryPolicy{max_retries});
+  return executor.run(OpKind::kAttentionFlashAbft, /*index=*/0, /*cost=*/0.0,
+                      engine)
+      .report;
+}
 
 TEST(Recovery, CleanFirstTry) {
   Rng rng(11);
   const AttentionInputs w = generate_gaussian(16, 8, rng);
-  const Checker checker(CheckerConfig{1e-6});
-  const GuardedResult r =
-      guarded_attention(w.q, w.k, w.v, make_cfg(16, 8), checker);
-  EXPECT_EQ(r.status, RecoveryStatus::kCleanFirstTry);
+  const OpReport r =
+      guarded(FlakyEngine{w, make_cfg(16, 8), /*faulty_runs=*/0}, 2);
+  EXPECT_EQ(r.recovery, RecoveryStatus::kCleanFirstTry);
   EXPECT_EQ(r.executions, 1u);
 }
 
 TEST(Recovery, TransientFaultRecoversOnRetry) {
   Rng rng(13);
   const AttentionInputs w = generate_gaussian(16, 8, rng);
-  const Checker checker(CheckerConfig{1e-6});
-  FlakyEngine engine{w, make_cfg(16, 8), /*faulty_runs=*/1};
-  const GuardedResult r =
-      guarded_attention(checker, RecoveryPolicy{2}, engine);
-  EXPECT_EQ(r.status, RecoveryStatus::kRecovered);
+  const OpReport r =
+      guarded(FlakyEngine{w, make_cfg(16, 8), /*faulty_runs=*/1}, 2);
+  EXPECT_EQ(r.recovery, RecoveryStatus::kRecovered);
   EXPECT_EQ(r.executions, 2u);
   // The accepted result is the clean one.
-  EXPECT_NEAR(r.attention.predicted_checksum, r.attention.actual_checksum,
-              1e-8);
+  EXPECT_NEAR(r.predicted, r.actual, 1e-8);
 }
 
 TEST(Recovery, PersistentFaultEscalates) {
   Rng rng(17);
   const AttentionInputs w = generate_gaussian(16, 8, rng);
-  const Checker checker(CheckerConfig{1e-6});
-  FlakyEngine engine{w, make_cfg(16, 8), /*faulty_runs=*/100};
-  const GuardedResult r =
-      guarded_attention(checker, RecoveryPolicy{3}, engine);
-  EXPECT_EQ(r.status, RecoveryStatus::kEscalated);
+  const OpReport r =
+      guarded(FlakyEngine{w, make_cfg(16, 8), /*faulty_runs=*/100}, 3);
+  EXPECT_EQ(r.recovery, RecoveryStatus::kEscalated);
   EXPECT_EQ(r.executions, 4u);  // initial + 3 retries
 }
 
 TEST(Recovery, SecondRetrySucceeds) {
   Rng rng(19);
   const AttentionInputs w = generate_gaussian(8, 4, rng);
-  const Checker checker(CheckerConfig{1e-6});
-  FlakyEngine engine{w, make_cfg(8, 4), /*faulty_runs=*/2};
-  const GuardedResult r =
-      guarded_attention(checker, RecoveryPolicy{2}, engine);
-  EXPECT_EQ(r.status, RecoveryStatus::kRecovered);
+  const OpReport r =
+      guarded(FlakyEngine{w, make_cfg(8, 4), /*faulty_runs=*/2}, 2);
+  EXPECT_EQ(r.recovery, RecoveryStatus::kRecovered);
   EXPECT_EQ(r.executions, 3u);
 }
 
 TEST(Recovery, ZeroRetryPolicyEscalatesImmediately) {
   Rng rng(23);
   const AttentionInputs w = generate_gaussian(8, 4, rng);
-  const Checker checker(CheckerConfig{1e-6});
-  FlakyEngine engine{w, make_cfg(8, 4), /*faulty_runs=*/1};
-  const GuardedResult r =
-      guarded_attention(checker, RecoveryPolicy{0}, engine);
-  EXPECT_EQ(r.status, RecoveryStatus::kEscalated);
+  const OpReport r =
+      guarded(FlakyEngine{w, make_cfg(8, 4), /*faulty_runs=*/1}, 0);
+  EXPECT_EQ(r.recovery, RecoveryStatus::kEscalated);
   EXPECT_EQ(r.executions, 1u);
 }
 
-TEST(Recovery, ObserverSeesEveryAttemptVerdict) {
+TEST(Recovery, ReportCountsEveryAttemptVerdict) {
+  // Attempt 0 alarms, attempt 1 passes: one alarm, two executions, and the
+  // accepted verdict is the pass.
   Rng rng(29);
   const AttentionInputs w = generate_gaussian(8, 4, rng);
-  const Checker checker(CheckerConfig{1e-6});
-  FlakyEngine engine{w, make_cfg(8, 4), /*faulty_runs=*/1};
-  std::vector<std::pair<std::size_t, CheckVerdict>> observed;
-  const GuardedResult r = guarded_attention(
-      checker, RecoveryPolicy{2}, engine,
-      [&observed](std::size_t attempt, CheckVerdict verdict) {
-        observed.emplace_back(attempt, verdict);
-      });
-  EXPECT_EQ(r.status, RecoveryStatus::kRecovered);
-  ASSERT_EQ(observed.size(), 2u);
-  EXPECT_EQ(observed[0], (std::pair<std::size_t, CheckVerdict>{
-                             0, CheckVerdict::kAlarm}));
-  EXPECT_EQ(observed[1], (std::pair<std::size_t, CheckVerdict>{
-                             1, CheckVerdict::kPass}));
+  const OpReport r =
+      guarded(FlakyEngine{w, make_cfg(8, 4), /*faulty_runs=*/1}, 2);
+  EXPECT_EQ(r.recovery, RecoveryStatus::kRecovered);
+  EXPECT_EQ(r.executions, 2u);
+  EXPECT_EQ(r.alarms, 1u);
+  EXPECT_EQ(r.verdict, CheckVerdict::kPass);
 }
 
 TEST(Recovery, EscalationAfterExhaustedRetriesReportsEveryAlarm) {
-  // The kEscalated edge case: max_retries attempts all alarm, the observer
-  // sees each one, and the accepted (last) result is still the faulty run —
-  // exactly what the serving layer's fallback path must replace.
+  // The kEscalated edge case: max_retries attempts all alarm, the report
+  // counts each one, and the accepted (last) result is still the faulty run
+  // — exactly what the serving layer's fallback path must replace.
   Rng rng(31);
   const AttentionInputs w = generate_gaussian(8, 4, rng);
-  const Checker checker(CheckerConfig{1e-6});
-  FlakyEngine engine{w, make_cfg(8, 4), /*faulty_runs=*/100};
-  std::size_t alarms = 0;
-  const GuardedResult r = guarded_attention(
-      checker, RecoveryPolicy{2}, engine,
-      [&alarms](std::size_t, CheckVerdict verdict) {
-        if (verdict == CheckVerdict::kAlarm) ++alarms;
-      });
-  EXPECT_EQ(r.status, RecoveryStatus::kEscalated);
+  const OpReport r =
+      guarded(FlakyEngine{w, make_cfg(8, 4), /*faulty_runs=*/100}, 2);
+  EXPECT_EQ(r.recovery, RecoveryStatus::kEscalated);
   EXPECT_EQ(r.executions, 3u);  // initial + 2 retries, all alarming.
-  EXPECT_EQ(alarms, 3u);
-  EXPECT_GT(r.attention.residual(), 1e-6);  // the escalated result is dirty.
+  EXPECT_EQ(r.alarms, 3u);
+  EXPECT_EQ(r.verdict, CheckVerdict::kAlarm);
+  EXPECT_GT(r.residual, 1e-6);  // the escalated result is dirty.
 }
 
 TEST(Recovery, StatusNames) {
